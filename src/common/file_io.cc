@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 
@@ -100,27 +101,27 @@ Status WriteFileChecksummed(const std::string& path, const std::string& content,
   return AtomicWriteFile(path, content + Crc32FooterLine(content), sync);
 }
 
-Result<std::string> ReadFileChecksummed(const std::string& path, bool* had_checksum) {
-  if (had_checksum != nullptr) *had_checksum = false;
+Result<std::string> ReadFileChecksummed(const std::string& path) {
   Result<std::string> read = ReadFileToString(path);
   if (!read.ok()) return read;
   std::string content = std::move(read.value());
 
-  // The footer, when present, is the final "\n"-terminated line.
+  // The footer is the final "\n"-terminated line: prefix + exactly 8 hex.
   const size_t footer_len = kCrcPrefixLen + kCrcHexLen + 1;
-  if (content.size() < footer_len ||
-      content.compare(content.size() - footer_len, kCrcPrefixLen, kCrcPrefix) != 0 ||
-      content.back() != '\n') {
-    return content;  // pre-checksum format
+  if (content.size() < footer_len || content.back() != '\n' ||
+      content.compare(content.size() - footer_len, kCrcPrefixLen, kCrcPrefix) != 0) {
+    return Status::InvalidArgument("no crc32 footer (truncated or foreign file): " + path);
   }
-  std::string hex = content.substr(content.size() - kCrcHexLen - 1, kCrcHexLen);
+  const char* hex = content.data() + content.size() - kCrcHexLen - 1;
   uint32_t stored = 0;
-  if (std::sscanf(hex.c_str(), "%8x", &stored) != 1) return content;
+  auto [end, ec] = std::from_chars(hex, hex + kCrcHexLen, stored, 16);
+  if (ec != std::errc() || end != hex + kCrcHexLen) {
+    return Status::InvalidArgument("malformed crc32 footer: " + path);
+  }
   content.resize(content.size() - footer_len);
   if (Crc32(content) != stored) {
     return Status::InvalidArgument("checksum mismatch (torn or corrupt file): " + path);
   }
-  if (had_checksum != nullptr) *had_checksum = true;
   return content;
 }
 

@@ -8,10 +8,10 @@
 //  * AtomicWriteFile: write to `<path>.tmp`, flush + fsync the file, rename
 //    over `path`, fsync the parent directory. Readers see either the old
 //    complete content or the new complete content, never a mixture.
-//  * A `# crc32 xxxxxxxx` footer line (WriteFileChecksummed /
+//  * A mandatory `# crc32 xxxxxxxx` footer line (WriteFileChecksummed /
 //    ReadFileChecksummed) so a file torn by a non-atomic writer — or by a
 //    filesystem that reorders the rename — is *detected* at load instead of
-//    silently mis-parsed.
+//    silently mis-parsed. A file without the footer is rejected.
 #ifndef QSTEER_COMMON_FILE_IO_H_
 #define QSTEER_COMMON_FILE_IO_H_
 
@@ -37,11 +37,11 @@ std::string Crc32FooterLine(const std::string& content);
 Status WriteFileChecksummed(const std::string& path, const std::string& content,
                             bool sync = true);
 
-/// Reads `path`; when the last line is a crc32 footer, verifies it (corrupt
-/// or truncated content is an error) and strips it from the returned
-/// content. Files without a footer are returned as-is with
-/// `*had_checksum = false` — pre-checksum formats stay loadable.
-Result<std::string> ReadFileChecksummed(const std::string& path, bool* had_checksum = nullptr);
+/// Reads a WriteFileChecksummed file: verifies the crc32 footer and returns
+/// the content without it. NotFound when the file does not exist; a missing,
+/// malformed or mismatching footer (torn, truncated, corrupt or foreign
+/// file) is InvalidArgument. Unverified content is never returned.
+Result<std::string> ReadFileChecksummed(const std::string& path);
 
 }  // namespace qsteer
 

@@ -5,7 +5,6 @@
 #include <sstream>
 #include <vector>
 
-#include "common/file_io.h"
 #include "core/hints.h"
 
 namespace qsteer {
@@ -126,32 +125,41 @@ SteeringRecommender::Recommendation SteeringRecommender::Recommend(
   return rec;
 }
 
+SteeringRecommender::SnapshotEntry SteeringRecommender::RowOf(const RuleSignature& signature,
+                                                              const Entry* entry) {
+  SnapshotEntry row;
+  row.signature = signature;
+  row.recommendation.config = RuleConfig::Default();
+  // Mirrors Recommend() without the open-breaker cooldown tick; rows that
+  // would tick are flagged instead, and the snapshot's consumer routes
+  // them to the mutating path.
+  if (entry != nullptr && !entry->retired && entry->adopted) {
+    if (entry->breaker == BreakerState::kOpen) {
+      row.mutates_on_recommend = true;
+    } else {
+      row.recommendation.is_default = false;
+      row.recommendation.config = entry->config;
+      row.recommendation.expected_improvement_pct = entry->improvement_pct;
+      row.recommendation.support = entry->support;
+      row.recommendation.probing = entry->breaker == BreakerState::kHalfOpen;
+    }
+  }
+  return row;
+}
+
 std::vector<SteeringRecommender::SnapshotEntry> SteeringRecommender::SnapshotRecommendations()
     const {
   std::vector<SnapshotEntry> out;
   out.reserve(store_.size());
   // qsteer-lint: sorted consumer rebuilds an unordered map from these rows; order never reaches bytes
-  for (const auto& [signature, entry] : store_) {
-    SnapshotEntry row;
-    row.signature = signature;
-    row.recommendation.config = RuleConfig::Default();
-    // Mirrors Recommend() without the open-breaker cooldown tick; rows that
-    // would tick are flagged instead, and the snapshot's consumer routes
-    // them to the mutating path.
-    if (!entry.retired && entry.adopted) {
-      if (entry.breaker == BreakerState::kOpen) {
-        row.mutates_on_recommend = true;
-      } else {
-        row.recommendation.is_default = false;
-        row.recommendation.config = entry.config;
-        row.recommendation.expected_improvement_pct = entry.improvement_pct;
-        row.recommendation.support = entry.support;
-        row.recommendation.probing = entry.breaker == BreakerState::kHalfOpen;
-      }
-    }
-    out.push_back(std::move(row));
-  }
+  for (const auto& [signature, entry] : store_) out.push_back(RowOf(signature, &entry));
   return out;
+}
+
+SteeringRecommender::SnapshotEntry SteeringRecommender::SnapshotRecommendation(
+    const RuleSignature& signature) const {
+  auto it = store_.find(signature);
+  return RowOf(signature, it == store_.end() ? nullptr : &it->second);
 }
 
 bool SteeringRecommender::WouldMutateOnRecommend(const RuleSignature& default_signature) const {
@@ -267,56 +275,35 @@ std::string SteeringRecommender::Serialize() const {
   return out.str();
 }
 
-Status SteeringRecommender::SaveToFile(const std::string& path) const {
-  return WriteFileChecksummed(path, Serialize());
-}
-
 Status SteeringRecommender::Deserialize(const std::string& content) {
   std::istringstream in(content);
   std::unordered_map<RuleSignature, Entry, BitVector256Hasher> loaded;
   int retired = 0;
   int rollbacks = 0;
   std::string line;
-  int line_number = 0;
-  bool v2 = false;
-  bool first_line = true;
+  if (!std::getline(in, line) || line != kStoreHeaderV2) {
+    return Status::InvalidArgument("missing recommender-store v2 header");
+  }
+  int line_number = 1;
   while (std::getline(in, line)) {
     ++line_number;
-    if (first_line) {
-      first_line = false;
-      if (line == kStoreHeaderV2) {
-        v2 = true;
-        continue;
-      }
-    }
     if (line.empty() || line.front() == '#') continue;
     std::istringstream fields(line);
     std::string signature_hex, hints;
     Entry entry;
-    int retired_flag = 0;
+    int retired_flag = 0, adopted_flag = 0, breaker_int = 0;
     if (!(fields >> signature_hex >> entry.improvement_pct >> entry.support >>
-          entry.regressions >> retired_flag)) {
+          entry.regressions >> retired_flag >> adopted_flag >> entry.validation_successes >>
+          breaker_int >> entry.consecutive_failures >> entry.cooldown_remaining >>
+          entry.probe_successes >> entry.rollbacks)) {
       return Status::InvalidArgument("malformed store line " + std::to_string(line_number));
     }
-    if (v2) {
-      int adopted_flag = 0, breaker_int = 0;
-      if (!(fields >> adopted_flag >> entry.validation_successes >> breaker_int >>
-            entry.consecutive_failures >> entry.cooldown_remaining >> entry.probe_successes >>
-            entry.rollbacks)) {
-        return Status::InvalidArgument("malformed v2 store line " +
-                                       std::to_string(line_number));
-      }
-      if (breaker_int < 0 || breaker_int > 2) {
-        return Status::InvalidArgument("bad breaker state on line " +
-                                       std::to_string(line_number));
-      }
-      entry.adopted = adopted_flag != 0;
-      entry.breaker = static_cast<BreakerState>(breaker_int);
-    } else {
-      // Legacy (v1) stores predate the validation gate and breaker: their
-      // entries were already serving, so load them adopted and closed.
-      entry.adopted = true;
+    if (breaker_int < 0 || breaker_int > 2) {
+      return Status::InvalidArgument("bad breaker state on line " +
+                                     std::to_string(line_number));
     }
+    entry.adopted = adopted_flag != 0;
+    entry.breaker = static_cast<BreakerState>(breaker_int);
     std::getline(fields, hints);
     if (!hints.empty() && hints.front() == ' ') hints.erase(0, 1);
     RuleSignature signature = BitVector256::FromHexString(signature_hex);
@@ -335,14 +322,6 @@ Status SteeringRecommender::Deserialize(const std::string& content) {
   retired_ = retired;
   rollbacks_ = rollbacks;
   return Status::OK();
-}
-
-Status SteeringRecommender::LoadFromFile(const std::string& path) {
-  // Verifies the crc32 footer when present; v1 files and pre-checksum v2
-  // files have none and load unchecked.
-  Result<std::string> content = ReadFileChecksummed(path);
-  if (!content.ok()) return content.status();
-  return Deserialize(content.value());
 }
 
 }  // namespace qsteer

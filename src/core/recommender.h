@@ -118,6 +118,8 @@ class SteeringRecommender {
     /// True when the recommendation is a half-open probe (the caller should
     /// still report the outcome; a regression re-opens the breaker).
     bool probing = false;
+
+    bool operator==(const Recommendation& other) const = default;
   };
 
   /// Online: recommendation for a job whose default compilation produced
@@ -141,6 +143,8 @@ class SteeringRecommender {
     RuleSignature signature;
     Recommendation recommendation;
     bool mutates_on_recommend = false;
+
+    bool operator==(const SnapshotEntry& other) const = default;
   };
 
   /// Pure snapshot of every group's current serving decision (signatures
@@ -148,6 +152,9 @@ class SteeringRecommender {
   /// row). The durable store publishes these as an RCU view so serving-path
   /// lookups bypass its mutex entirely.
   std::vector<SnapshotEntry> SnapshotRecommendations() const;
+  /// The row SnapshotRecommendations() holds for `signature`; a group absent
+  /// from the store gets the default row (what a lookup of it serves).
+  SnapshotEntry SnapshotRecommendation(const RuleSignature& signature) const;
 
   /// Guardrail: report the observed runtime change of a recommended run
   /// (positive = regression). Drives the circuit breaker; tripping it rolls
@@ -175,19 +182,11 @@ class SteeringRecommender {
   /// the §3.2 flag syntax, so a stored recommendation is directly usable as
   /// a customer plan hint.
   std::string Serialize() const;
-  /// Replaces the store with the blob's contents. Blobs without the v2
-  /// header parse in the legacy (v1) format: entries become adopted with a
-  /// closed breaker. Comment lines (leading '#') are ignored.
+  /// Replaces the store with the blob's contents. The first line must be
+  /// the v2 header; any other blob is rejected and leaves the store
+  /// untouched. Later comment lines (leading '#') are ignored. Durable
+  /// copies live in DurableRecommenderStore snapshots (crc32-checked).
   Status Deserialize(const std::string& content);
-
-  /// Serialize() written atomically (temp file + fsync + rename) with a
-  /// trailing `# crc32` footer, so a torn or partial write is detected at
-  /// load instead of silently mis-parsing.
-  Status SaveToFile(const std::string& path) const;
-  /// Replaces the store with the file's contents, verifying the checksum
-  /// footer when present. v1 files and v2 files written before the footer
-  /// existed (no checksum) still load.
-  Status LoadFromFile(const std::string& path);
 
  private:
   struct Entry {
@@ -211,6 +210,7 @@ class SteeringRecommender {
   /// Trips the breaker open (one automatic rollback); retires the entry
   /// when it has rolled back too often.
   void TripBreaker(Entry* entry);
+  static SnapshotEntry RowOf(const RuleSignature& signature, const Entry* entry);
   void Retire(Entry* entry);
 
   RecommenderOptions options_;

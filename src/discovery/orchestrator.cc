@@ -370,12 +370,11 @@ Result<DiscoveryResult> ShardOrchestrator::Run() {
       to_compute.push_back(s);
       continue;
     }
-    bool had_checksum = false;
-    Result<std::string> manifest_read = ReadFileChecksummed(manifest_path, &had_checksum);
+    Result<std::string> manifest_read = ReadFileChecksummed(manifest_path);
     if (!manifest_read.ok()) {
       if (manifest_read.status().code() != StatusCode::kNotFound) {
-        // Torn or corrupt manifest: the commit record itself is untrusted,
-        // so the artifact it may fingerprint is untrusted too.
+        // Torn, corrupt or footer-less manifest: the commit record itself is
+        // untrusted, so the artifact it may fingerprint is untrusted too.
         QuarantineFile(manifest_path);
         QuarantineFile(artifact_path);
         ++counters.shards_quarantined;
@@ -383,10 +382,7 @@ Result<DiscoveryResult> ShardOrchestrator::Run() {
       to_compute.push_back(s);
       continue;
     }
-    Result<ShardManifest> manifest =
-        had_checksum ? ShardManifest::Parse(manifest_read.value())
-                     : Result<ShardManifest>(Status::InvalidArgument(
-                           "manifest has no crc32 footer: " + manifest_path));
+    Result<ShardManifest> manifest = ShardManifest::Parse(manifest_read.value());
     if (!manifest.ok()) {
       QuarantineFile(manifest_path);
       QuarantineFile(artifact_path);

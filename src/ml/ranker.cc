@@ -254,12 +254,8 @@ Status CandidateRanker::SaveToFile(const std::string& path, bool sync) const {
 }
 
 Status CandidateRanker::WarmFromFile(const std::string& path) {
-  bool had_checksum = false;
-  Result<std::string> read = ReadFileChecksummed(path, &had_checksum);
+  Result<std::string> read = ReadFileChecksummed(path);
   if (!read.ok()) return read.status();
-  if (!had_checksum) {
-    return Status::InvalidArgument("ranker file has no crc32 footer: " + path);
-  }
   // Parse into a scratch ranker so any damage rejects the whole file and
   // leaves this ranker exactly as it was (run cold, never wrong).
   CandidateRanker scratch(options_);

@@ -206,14 +206,9 @@ Status CompileCache::WarmFromFile(const std::string& path, int expected_day, int
     return status;
   };
 
-  bool had_checksum = false;
-  Result<std::string> read = ReadFileChecksummed(path, &had_checksum);
+  Result<std::string> read = ReadFileChecksummed(path);
   if (!read.ok()) return reject(read.status());
   const std::string& content = read.value();
-  if (!had_checksum) {
-    return reject(
-        Status::InvalidArgument("compile-cache file has no crc32 footer: " + path));
-  }
   if (content.size() < kCacheFileHeaderLen ||
       content.compare(0, kCacheFileHeaderLen, kCacheFileHeader) != 0) {
     return reject(

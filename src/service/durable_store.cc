@@ -1,6 +1,6 @@
 #include "service/durable_store.h"
 
-#include <cinttypes>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -27,6 +27,41 @@ bool ParseDoubleExact(const std::string& text, double* out) {
   char* end = nullptr;
   *out = std::strtod(text.c_str(), &end);
   return end != text.c_str() && *end == '\0';
+}
+
+// Snapshot bytes (disk file body and replication install payload): the
+// recommender's v2 store followed by a final `# seq N` watermark line.
+std::string EncodeSnapshot(const SteeringRecommender& recommender, uint64_t seq) {
+  return recommender.Serialize() + kSeqCommentPrefix + std::to_string(seq) + "\n";
+}
+
+// The one snapshot decoder (Open() and InstallSnapshot()): the final line
+// must be `# seq N` with N plain decimal digits, and everything before it a
+// v2 store. Decodes into a caller-owned scratch recommender, so a rejected
+// snapshot never touches live state.
+Status DecodeSnapshot(const std::string& content, SteeringRecommender* out, uint64_t* seq) {
+  size_t line = content.rfind(kSeqCommentPrefix);
+  if (line == std::string::npos || (line > 0 && content[line - 1] != '\n') ||
+      content.back() != '\n') {
+    return Status::InvalidArgument("no final `# seq N` watermark line");
+  }
+  const char* digits = content.data() + line + std::strlen(kSeqCommentPrefix);
+  const char* end = content.data() + content.size() - 1;
+  auto [parsed_end, ec] = std::from_chars(digits, end, *seq);
+  if (ec != std::errc() || parsed_end != end) {
+    return Status::InvalidArgument("malformed `# seq N` watermark line");
+  }
+  return out->Deserialize(content.substr(0, line));
+}
+
+// The contiguity rule of every apply path (WAL replay, follower apply):
+// after watermark W the next event must carry seq W + 1. Callers skip
+// events the watermark already covers; any other seq means lost events.
+Status CheckNextSeq(const char* source, uint64_t watermark, uint64_t seq) {
+  if (seq == watermark + 1) return Status::OK();
+  return Status::FailedPrecondition(std::string(source) + " gap: watermark " +
+                                    std::to_string(watermark) + ", next seq " +
+                                    std::to_string(seq));
 }
 
 }  // namespace
@@ -62,23 +97,19 @@ Status DurableRecommenderStore::Open() {
     return Status::OK();
   }
 
-  // 1. Snapshot (atomic write + crc32 footer; a checksum mismatch means
-  //    external corruption and is a hard error).
+  // 1. Snapshot (atomic write + mandatory crc32 footer + `# seq N` line).
+  //    A missing footer, a checksum mismatch or a bad watermark means a
+  //    torn or corrupt file and is a hard error.
   Result<std::string> snapshot = ReadFileChecksummed(snapshot_path());
   if (snapshot.ok()) {
+    SteeringRecommender loaded(options_.recommender);
     uint64_t seq = 0;
-    std::istringstream lines(snapshot.value());
-    std::string line;
-    while (std::getline(lines, line)) {
-      if (line.rfind(kSeqCommentPrefix, 0) == 0) {
-        seq = std::strtoull(line.c_str() + std::strlen(kSeqCommentPrefix), nullptr, 10);
-      }
-    }
-    Status status = recommender_.Deserialize(snapshot.value());
+    Status status = DecodeSnapshot(snapshot.value(), &loaded, &seq);
     if (!status.ok()) {
-      return Status::Internal("corrupt snapshot " + snapshot_path() + ": " +
-                              status.message());
+      return Status::InvalidArgument("corrupt snapshot " + snapshot_path() + ": " +
+                                     status.message());
     }
+    recommender_ = std::move(loaded);
     recovery_.loaded_snapshot = true;
     recovery_.snapshot_seq = seq;
     applied_seq_ = seq;
@@ -86,17 +117,20 @@ Status DurableRecommenderStore::Open() {
     return snapshot.status();
   }
 
-  // 2. WAL tail: replay events the snapshot has not captured; skip the ones
-  //    it has (crash between snapshot write and WAL reset). Recover()
-  //    truncates any torn/corrupt suffix in place.
+  // 2. WAL tail: skip the prefix the snapshot has captured (crash between
+  //    snapshot write and WAL reset), then replay contiguously — a gap or a
+  //    step backwards means lost or foreign events and is a hard error.
+  //    Recover() truncates any torn/corrupt suffix in place.
   Result<WriteAheadLog::RecoveryInfo> wal_info = WriteAheadLog::Recover(
       wal_path(), [&](uint64_t seq, std::string_view payload) -> Status {
-        if (seq <= recovery_.snapshot_seq) {
+        if (recovery_.wal_records_replayed == 0 && seq <= applied_seq_) {
           ++recovery_.wal_records_skipped;
           return Status::OK();
         }
-        Status status = ApplyPayload(std::string(payload));
+        Status status = CheckNextSeq("wal replay", applied_seq_, seq);
         if (!status.ok()) return status;
+        Result<Applied> applied = ApplyPayload(std::string(payload));
+        if (!applied.ok()) return applied.status();
         applied_seq_ = seq;
         ++recovery_.wal_records_replayed;
         return Status::OK();
@@ -123,29 +157,16 @@ void DurableRecommenderStore::PublishViewLocked() {
 
 SteeringRecommender::Recommendation DurableRecommenderStore::RecommendFast(
     const RuleSignature& signature) {
-  std::shared_ptr<const RecommendationView> view = view_.load(std::memory_order_acquire);
-  if (view != nullptr) {
-    auto it = view->rows.find(signature);
-    if (it == view->rows.end()) {
-      // Unknown group: Recommend() would return the pure default without
-      // touching state — serve it straight from the view.
-      fast_recommends_.fetch_add(1, std::memory_order_relaxed);
-      SteeringRecommender::Recommendation rec;
-      rec.config = RuleConfig::Default();
-      return rec;
-    }
-    if (!it->second.mutates_on_recommend) {
-      fast_recommends_.fetch_add(1, std::memory_order_relaxed);
-      return it->second.recommendation;
-    }
-  }
+  SteeringRecommender::Recommendation rec;
+  if (TryRecommendPure(signature, &rec)) return rec;
   // Open breaker (cooldown must tick and be journaled) or pre-Open call:
   // take the slow, locked path.
   locked_recommends_.fetch_add(1, std::memory_order_relaxed);
   return Recommend(signature);
 }
 
-Status DurableRecommenderStore::ApplyPayload(const std::string& payload) {
+Result<DurableRecommenderStore::Applied> DurableRecommenderStore::ApplyPayload(
+    const std::string& payload) {
   // Payloads are single-line text events:
   //   L <sig-hex> <improvement-pct> <hint-string (may be empty)>
   //   V <sig-hex> <runtime-change-pct>
@@ -160,40 +181,42 @@ Status DurableRecommenderStore::ApplyPayload(const std::string& payload) {
   if (signature.None() && sig_hex != std::string(64, '0')) {
     return Status::InvalidArgument("bad signature in wal event: " + payload);
   }
+  Applied applied;
+  const SteeringRecommender::SnapshotEntry before = recommender_.SnapshotRecommendation(signature);
   if (type == "R") {
-    recommender_.Recommend(signature);
-    return Status::OK();
+    applied.recommendation = recommender_.Recommend(signature);
+  } else {
+    std::string change_text;
+    if (!(in >> change_text)) {
+      return Status::InvalidArgument("missing change in wal event: " + payload);
+    }
+    double change = 0.0;
+    if (!ParseDoubleExact(change_text, &change)) {
+      return Status::InvalidArgument("bad change in wal event: " + payload);
+    }
+    if (type == "V") {
+      recommender_.ObserveValidation(signature, change);
+    } else if (type == "O") {
+      recommender_.ObserveOutcome(signature, change);
+    } else if (type == "L") {
+      std::string hints;
+      std::getline(in, hints);
+      if (!hints.empty() && hints.front() == ' ') hints.erase(0, 1);
+      Result<RuleConfig> config = ParseHintString(hints);
+      if (!config.ok()) return config.status();
+      SteeringRecommender::CandidateObservation observation;
+      observation.signature = signature;
+      observation.config = config.value();
+      observation.improvement_pct = change;
+      applied.changed = recommender_.LearnCandidate(observation);
+    } else {
+      return Status::InvalidArgument("unknown wal event type: " + payload);
+    }
   }
-  std::string change_text;
-  if (!(in >> change_text)) {
-    return Status::InvalidArgument("missing change in wal event: " + payload);
-  }
-  double change = 0.0;
-  if (!ParseDoubleExact(change_text, &change)) {
-    return Status::InvalidArgument("bad change in wal event: " + payload);
-  }
-  if (type == "V") {
-    recommender_.ObserveValidation(signature, change);
-    return Status::OK();
-  }
-  if (type == "O") {
-    recommender_.ObserveOutcome(signature, change);
-    return Status::OK();
-  }
-  if (type == "L") {
-    std::string hints;
-    std::getline(in, hints);
-    if (!hints.empty() && hints.front() == ' ') hints.erase(0, 1);
-    Result<RuleConfig> config = ParseHintString(hints);
-    if (!config.ok()) return config.status();
-    SteeringRecommender::CandidateObservation observation;
-    observation.signature = signature;
-    observation.config = config.value();
-    observation.improvement_pct = change;
-    recommender_.LearnCandidate(observation);
-    return Status::OK();
-  }
-  return Status::InvalidArgument("unknown wal event type: " + payload);
+  // Every event touches only its own group, so comparing that group's
+  // serving row tells whether the published view went stale.
+  applied.view_stale = !(recommender_.SnapshotRecommendation(signature) == before);
+  return applied;
 }
 
 Status DurableRecommenderStore::JournalAndMark(const std::string& payload) {
@@ -209,6 +232,21 @@ Status DurableRecommenderStore::JournalAndMark(const std::string& payload) {
   return Status::OK();
 }
 
+Result<DurableRecommenderStore::Applied> DurableRecommenderStore::JournalAndApply(
+    const std::string& payload) {
+  Status status = JournalAndMark(payload);
+  if (!status.ok()) return status;
+  Result<Applied> applied = ApplyPayload(payload);
+  if (!applied.ok()) return applied;
+  // Most events (an outcome on a closed breaker, a validation run short of
+  // adoption) leave what the group serves unchanged; rebuilding the whole
+  // view for them would hold mu_ for a copy of every row.
+  if (applied.value().view_stale) PublishViewLocked();
+  // qsteer-lint: allow(unchecked-status) snapshot is opportunistic; the WAL stays authoritative
+  (void)MaybeSnapshotLocked();
+  return applied;
+}
+
 Status DurableRecommenderStore::MaybeSnapshotLocked() {
   if (options_.snapshot_interval > 0 && events_since_snapshot_ >= options_.snapshot_interval) {
     return SnapshotLocked();
@@ -218,9 +256,9 @@ Status DurableRecommenderStore::MaybeSnapshotLocked() {
 
 Status DurableRecommenderStore::SnapshotLocked() {
   if (!durable()) return Status::OK();
-  std::string content = recommender_.Serialize();
-  content += kSeqCommentPrefix + std::to_string(applied_seq_) + "\n";
-  Status status = WriteFileChecksummed(snapshot_path(), content, options_.sync);
+  Status status =
+      WriteFileChecksummed(snapshot_path(), EncodeSnapshot(recommender_, applied_seq_),
+                           options_.sync);
   if (!status.ok()) return status;
   ++snapshots_taken_;
   events_since_snapshot_ = 0;
@@ -240,42 +278,33 @@ bool DurableRecommenderStore::LearnFromAnalysis(const JobAnalysis& analysis) {
   return LearnCandidate(*observation);
 }
 
+// Live mutations journal their event and then apply it through the same
+// ApplyPayload that WAL replay and ApplyReplicated run, so the live store,
+// a recovered store and a follower agree by construction. A failed journal
+// append leaves the store untouched (fail-stop).
 bool DurableRecommenderStore::LearnCandidate(
     const SteeringRecommender::CandidateObservation& observation) {
   MutexLock lock(mu_);
-  std::string payload = "L " + observation.signature.ToHexString() + " " +
-                        FormatDouble(observation.improvement_pct) + " " +
-                        ToHintString(observation.config);
-  if (!JournalAndMark(payload).ok()) return false;
-  bool changed = recommender_.LearnCandidate(observation);
-  if (changed) PublishViewLocked();
-  // qsteer-lint: allow(unchecked-status) snapshot is opportunistic; the WAL stays authoritative
-  (void)MaybeSnapshotLocked();
-  return changed;
+  Result<Applied> applied = JournalAndApply(
+      "L " + observation.signature.ToHexString() + " " +
+      FormatDouble(observation.improvement_pct) + " " + ToHintString(observation.config));
+  return applied.ok() && applied.value().changed;
 }
 
 void DurableRecommenderStore::ObserveValidation(const RuleSignature& signature,
                                                 double runtime_change_pct) {
   MutexLock lock(mu_);
-  std::string payload =
-      "V " + signature.ToHexString() + " " + FormatDouble(runtime_change_pct);
-  if (!JournalAndMark(payload).ok()) return;
-  recommender_.ObserveValidation(signature, runtime_change_pct);
-  PublishViewLocked();
-  // qsteer-lint: allow(unchecked-status) snapshot is opportunistic; the WAL stays authoritative
-  (void)MaybeSnapshotLocked();
+  // qsteer-lint: allow(unchecked-status) fail-stop: an unjournalable observation is dropped unapplied
+  (void)JournalAndApply("V " + signature.ToHexString() + " " +
+                        FormatDouble(runtime_change_pct));
 }
 
 void DurableRecommenderStore::ObserveOutcome(const RuleSignature& signature,
                                              double runtime_change_pct) {
   MutexLock lock(mu_);
-  std::string payload =
-      "O " + signature.ToHexString() + " " + FormatDouble(runtime_change_pct);
-  if (!JournalAndMark(payload).ok()) return;
-  recommender_.ObserveOutcome(signature, runtime_change_pct);
-  PublishViewLocked();
-  // qsteer-lint: allow(unchecked-status) snapshot is opportunistic; the WAL stays authoritative
-  (void)MaybeSnapshotLocked();
+  // qsteer-lint: allow(unchecked-status) fail-stop: an unjournalable observation is dropped unapplied
+  (void)JournalAndApply("O " + signature.ToHexString() + " " +
+                        FormatDouble(runtime_change_pct));
 }
 
 SteeringRecommender::Recommendation DurableRecommenderStore::Recommend(
@@ -283,21 +312,13 @@ SteeringRecommender::Recommendation DurableRecommenderStore::Recommend(
   MutexLock lock(mu_);
   // Only journal lookups that tick an open breaker's cooldown clock; plain
   // lookups are pure reads and must not bloat the WAL under serving load.
-  if (recommender_.WouldMutateOnRecommend(signature)) {
-    std::string payload = "R " + signature.ToHexString();
-    if (!JournalAndMark(payload).ok()) {
-      // Unjournalable: serve the default without mutating (fail-stop).
-      SteeringRecommender::Recommendation rec;
-      rec.config = RuleConfig::Default();
-      return rec;
-    }
-    SteeringRecommender::Recommendation rec = recommender_.Recommend(signature);
-    PublishViewLocked();
-    // qsteer-lint: allow(unchecked-status) snapshot is opportunistic; the WAL stays authoritative
-  (void)MaybeSnapshotLocked();
-    return rec;
-  }
-  return recommender_.Recommend(signature);
+  if (!recommender_.WouldMutateOnRecommend(signature)) return recommender_.Recommend(signature);
+  Result<Applied> applied = JournalAndApply("R " + signature.ToHexString());
+  if (applied.ok()) return applied.value().recommendation;
+  // Unjournalable: serve the default without mutating (fail-stop).
+  SteeringRecommender::Recommendation rec;
+  rec.config = RuleConfig::Default();
+  return rec;
 }
 
 bool DurableRecommenderStore::TryRecommendPure(
@@ -331,44 +352,28 @@ Status DurableRecommenderStore::ApplyReplicated(uint64_t seq, const std::string&
     ++replicated_skipped_;
     return Status::OK();
   }
-  if (seq != applied_seq_ + 1) {
-    return Status::FailedPrecondition(
-        "replication gap: local watermark " + std::to_string(applied_seq_) +
-        ", shipped seq " + std::to_string(seq) + " (snapshot install required)");
-  }
-  Status status = JournalAndMark(payload);
+  // A gap is the leader's cue to fall back to a snapshot install.
+  Status status = CheckNextSeq("replication", applied_seq_, seq);
   if (!status.ok()) return status;
-  status = ApplyPayload(payload);
-  if (!status.ok()) return status;
+  Result<Applied> applied = JournalAndApply(payload);
+  if (!applied.ok()) return applied.status();
   ++replicated_applied_;
-  PublishViewLocked();
-  // qsteer-lint: allow(unchecked-status) snapshot is opportunistic; the WAL stays authoritative
-  (void)MaybeSnapshotLocked();
   return Status::OK();
 }
 
 std::string DurableRecommenderStore::SerializeForReplication() const {
   MutexLock lock(mu_);
-  return recommender_.Serialize() + kSeqCommentPrefix + std::to_string(applied_seq_) + "\n";
+  return EncodeSnapshot(recommender_, applied_seq_);
 }
 
 Status DurableRecommenderStore::InstallSnapshot(const std::string& content) {
   MutexLock lock(mu_);
   if (!open_) return Status::FailedPrecondition("store not open");
-  uint64_t seq = 0;
-  {
-    std::istringstream lines(content);
-    std::string line;
-    while (std::getline(lines, line)) {
-      if (line.rfind(kSeqCommentPrefix, 0) == 0) {
-        seq = std::strtoull(line.c_str() + std::strlen(kSeqCommentPrefix), nullptr, 10);
-      }
-    }
-  }
-  // Validate into the live recommender only after parsing succeeds; a
-  // corrupt install must leave the current state untouched.
+  // Decode into a scratch recommender first; a corrupt install must leave
+  // the current state untouched.
   SteeringRecommender incoming(options_.recommender);
-  Status status = incoming.Deserialize(content);
+  uint64_t seq = 0;
+  Status status = DecodeSnapshot(content, &incoming, &seq);
   if (!status.ok()) {
     return Status::InvalidArgument("corrupt snapshot install: " + status.message());
   }

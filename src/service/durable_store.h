@@ -9,15 +9,20 @@
 //      `snapshot.qrs` (atomic temp+fsync+rename write with a crc32 footer
 //      and an embedded `# seq N` watermark), then reset the WAL.
 //
-// Recovery (Open): load the snapshot if present (checksum verified), then
-// replay the WAL tail, *skipping* records with seq <= the snapshot's
-// watermark — a crash between snapshot write and WAL reset must not apply
-// events twice. Torn or corrupt WAL tails are detected by the per-record
-// CRC and truncated; the store resumes from the last intact event.
+// Recovery (Open): load the snapshot if present, then replay the WAL tail,
+// *skipping* records with seq <= the snapshot's watermark — a crash between
+// snapshot write and WAL reset must not apply events twice. Torn or corrupt
+// WAL tails are detected by the per-record CRC and truncated; the store
+// resumes from the last intact event. Everything else fails closed: a
+// snapshot without a valid crc32 footer or without its final `# seq N`
+// line, and a WAL whose records after the watermark are not contiguous
+// (watermark + 1, + 2, ...), make Open() return an error instead of
+// silently dropping acknowledged events.
 //
 // Because every journaled event is deterministic (LearnCandidate /
 // ObserveValidation / ObserveOutcome / the cooldown tick of a Recommend on
-// an open breaker), replaying the log reproduces the pre-crash store
+// an open breaker) and live mutations, WAL replay and follower apply all run
+// the same ApplyPayload, replaying the log reproduces the pre-crash store
 // bit-for-bit — the property the chaos harness asserts.
 #ifndef QSTEER_SERVICE_DURABLE_STORE_H_
 #define QSTEER_SERVICE_DURABLE_STORE_H_
@@ -81,8 +86,9 @@ class DurableRecommenderStore {
   };
 
   /// Recovers state from disk (no-op for an ephemeral store) and opens the
-  /// WAL for appending. Corrupt snapshots and unreplayable WAL records are
-  /// hard errors — silent partial state is worse than unavailability.
+  /// WAL for appending. Corrupt, footer-less or watermark-less snapshots,
+  /// WAL sequence gaps and unreplayable WAL records are hard errors —
+  /// silent partial state is worse than unavailability.
   Status Open() EXCLUDES(mu_);
   /// Snapshot of the last Open()'s recovery outcome (by value: the stored
   /// struct is guarded by the store mutex).
@@ -102,10 +108,11 @@ class DurableRecommenderStore {
   /// cooldown tick); plain lookups are reads and cost no WAL record.
   SteeringRecommender::Recommendation Recommend(const RuleSignature& signature) EXCLUDES(mu_);
 
-  /// Serving-path Recommend: consults a read-mostly snapshot of the
-  /// recommendation table (an immutable view republished after every store
-  /// mutation and swapped in with one atomic shared_ptr exchange), so the
-  /// overwhelmingly common pure lookups — unknown signatures and closed/
+  /// Serving-path Recommend: TryRecommendPure off a read-mostly snapshot of
+  /// the recommendation table (an immutable view republished after every
+  /// store mutation that changes a group's row, swapped in with one atomic
+  /// shared_ptr exchange), so
+  /// the overwhelmingly common pure lookups — unknown signatures and closed/
   /// half-open groups — never touch mu_. Lookups that must mutate (an open
   /// breaker's cooldown tick) fall through to the journaled Recommend().
   /// Returns exactly what Recommend(signature) would.
@@ -201,11 +208,28 @@ class DurableRecommenderStore {
         rows;
   };
 
+  /// What applying one journaled event did: LearnCandidate's `changed` flag
+  /// (the other event types always mutate), whether the event's group now
+  /// serves a different row than the published view holds, and the
+  /// Recommendation a cooldown-tick ("R") event returned.
+  struct Applied {
+    bool changed = true;
+    bool view_stale = false;
+    SteeringRecommender::Recommendation recommendation;
+  };
+
   Status JournalAndMark(const std::string& payload) REQUIRES(mu_);  // assigns seq, appends
+  /// The one apply path: live mutations and ApplyReplicated (through
+  /// JournalAndApply) and WAL replay all decode and apply events here.
+  Result<Applied> ApplyPayload(const std::string& payload) REQUIRES(mu_);
+  /// JournalAndMark + ApplyPayload, then republishes the serving view when
+  /// the event changed its group's row, and takes the interval snapshot. A
+  /// failed append applies nothing.
+  Result<Applied> JournalAndApply(const std::string& payload) REQUIRES(mu_);
   Status SnapshotLocked() REQUIRES(mu_);
   Status MaybeSnapshotLocked() REQUIRES(mu_);  // interval-triggered, best-effort
-  Status ApplyPayload(const std::string& payload) REQUIRES(mu_);  // replay dispatcher
-  /// Rebuilds and publishes the serving view after any recommender mutation.
+  /// Rebuilds and publishes the serving view (after a load, an install, or
+  /// an event that changed its group's row).
   void PublishViewLocked() REQUIRES(mu_);
 
   DurableStoreOptions options_;

@@ -185,11 +185,8 @@ TEST_F(ExtensionsTest, RecommenderStoreSurvivesSaveLoad) {
   recommender.ObserveOutcome(learned_signatures[0], 50.0);
   recommender.ObserveOutcome(learned_signatures[0], 50.0);
 
-  std::string path = ::testing::TempDir() + "/qsteer_store.txt";
-  ASSERT_TRUE(recommender.SaveToFile(path).ok());
-
   SteeringRecommender restored;
-  ASSERT_TRUE(restored.LoadFromFile(path).ok());
+  ASSERT_TRUE(restored.Deserialize(recommender.Serialize()).ok());
   EXPECT_EQ(restored.num_groups(), recommender.num_groups());
   EXPECT_EQ(restored.num_retired(), recommender.num_retired());
   for (const RuleSignature& signature : learned_signatures) {
@@ -202,7 +199,7 @@ TEST_F(ExtensionsTest, RecommenderStoreSurvivesSaveLoad) {
       EXPECT_EQ(before.support, after.support);
     }
   }
-  EXPECT_FALSE(restored.LoadFromFile("/nonexistent/qsteer").ok());
+  EXPECT_FALSE(restored.Deserialize("not a recommender store\n").ok());
 }
 
 TEST_F(ExtensionsTest, PerMetricModelsOptimizeTheirTarget) {

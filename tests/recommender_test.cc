@@ -2,11 +2,10 @@
 // (N clean re-runs before a candidate serves), the per-group circuit
 // breaker (closed -> open -> half-open -> closed, with automatic rollback
 // to the default while open), retirement after repeated rollbacks, and
-// persistence of the whole guardrail state across save/load.
+// persistence of the whole guardrail state across Serialize/Deserialize.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -212,16 +211,7 @@ TEST(Recommender, ImprovementBarFiltersWeakCandidates) {
   EXPECT_FALSE(rec.LearnFromAnalysis(failed));
 }
 
-std::vector<std::string> SortedLines(const std::string& path) {
-  std::ifstream in(path);
-  std::vector<std::string> lines;
-  std::string line;
-  while (std::getline(in, line)) lines.push_back(line);
-  std::sort(lines.begin(), lines.end());
-  return lines;
-}
-
-TEST(Recommender, SaveLoadRoundTripsFullGuardrailState) {
+TEST(Recommender, SerializeDeserializeRoundTripsFullGuardrailState) {
   SteeringRecommender rec(FastOptions());
 
   // One group mid-validation.
@@ -241,12 +231,9 @@ TEST(Recommender, SaveLoadRoundTripsFullGuardrailState) {
   ASSERT_TRUE(rec.LearnFromAnalysis(MakeAnalysis(Sig(4), 100.0, 60.0, AltConfig(4))));
   rec.ObserveValidation(Sig(4), 30.0);
 
-  std::string path1 = ::testing::TempDir() + "/guardrail_store_1.txt";
-  std::string path2 = ::testing::TempDir() + "/guardrail_store_2.txt";
-  ASSERT_TRUE(rec.SaveToFile(path1).ok());
-
+  const std::string bytes = rec.Serialize();
   SteeringRecommender loaded(FastOptions());
-  ASSERT_TRUE(loaded.LoadFromFile(path1).ok());
+  ASSERT_TRUE(loaded.Deserialize(bytes).ok());
   EXPECT_EQ(loaded.num_groups(), rec.num_groups());
   EXPECT_EQ(loaded.num_serving(), rec.num_serving());
   EXPECT_EQ(loaded.num_pending_validation(), rec.num_pending_validation());
@@ -254,10 +241,9 @@ TEST(Recommender, SaveLoadRoundTripsFullGuardrailState) {
   EXPECT_EQ(loaded.num_rollbacks(), rec.num_rollbacks());
   EXPECT_EQ(loaded.num_open(), rec.num_open());
 
-  // Save(Load(Save(x))) is the same store: every field survived (entry
-  // order is a hash-map artifact, so compare as line sets).
-  ASSERT_TRUE(loaded.SaveToFile(path2).ok());
-  EXPECT_EQ(SortedLines(path1), SortedLines(path2));
+  // Serialize(Deserialize(Serialize(x))) is the same store: every field
+  // survived, and entries are emitted in signature order.
+  EXPECT_EQ(loaded.Serialize(), bytes);
 
   // Behavior also survived: the open group continues its cooldown where the
   // original left off (2 more default-served lookups, then a probe).
@@ -270,40 +256,57 @@ TEST(Recommender, SaveLoadRoundTripsFullGuardrailState) {
   EXPECT_FALSE(loaded.Recommend(Sig(1)).is_default);
 }
 
-TEST(Recommender, LegacyV1StoreLoadsAdoptedAndClosed) {
-  // v1 files predate the guardrails: no header, five fixed fields + hints.
-  std::string path = ::testing::TempDir() + "/legacy_store.txt";
-  std::string hints = ToHintString(AltConfig(5));
-  {
-    std::ofstream out(path);
-    out << Sig(6).ToHexString() << " -22.5 3 1 0 " << hints << "\n";
-    out << Sig(7).ToHexString() << " -40 1 0 1 " << ToHintString(AltConfig(9)) << "\n";
-  }
+TEST(Recommender, SnapshotRecommendationMatchesFullSnapshotRows) {
   SteeringRecommender rec(FastOptions());
-  ASSERT_TRUE(rec.LoadFromFile(path).ok());
-  EXPECT_EQ(rec.num_groups(), 2);
-  EXPECT_EQ(rec.num_retired(), 1);
-  EXPECT_EQ(rec.num_pending_validation(), 0);
-  // Legacy entries were already serving: adopted, breaker closed.
-  SteeringRecommender::Recommendation served = rec.Recommend(Sig(6));
-  ASSERT_FALSE(served.is_default);
-  EXPECT_TRUE(served.config == AltConfig(5));
-  EXPECT_EQ(served.support, 3);
-  EXPECT_DOUBLE_EQ(served.expected_improvement_pct, -22.5);
-  // The retired legacy entry stays retired.
-  EXPECT_TRUE(rec.Recommend(Sig(7)).is_default);
+  Adopt(&rec, Sig(1), AltConfig(1));
+  SteeringRecommender::CandidateObservation pending;
+  pending.signature = Sig(2);
+  pending.config = AltConfig(2);
+  pending.improvement_pct = -30.0;
+  ASSERT_TRUE(rec.LearnCandidate(pending));
+  for (const SteeringRecommender::SnapshotEntry& row : rec.SnapshotRecommendations()) {
+    EXPECT_EQ(rec.SnapshotRecommendation(row.signature), row);
+  }
+  // An absent group gets the row a lookup of it serves: the default, which
+  // is also what a group still pending validation serves.
+  SteeringRecommender::SnapshotEntry absent = rec.SnapshotRecommendation(Sig(3));
+  EXPECT_EQ(absent.signature, Sig(3));
+  EXPECT_EQ(absent.recommendation, rec.Recommend(Sig(3)));
+  EXPECT_FALSE(absent.mutates_on_recommend);
+  EXPECT_EQ(rec.SnapshotRecommendation(Sig(2)).recommendation, absent.recommendation);
+  EXPECT_FALSE(rec.SnapshotRecommendation(Sig(1)).recommendation.is_default);
 }
 
-TEST(Recommender, LoadRejectsMalformedStores) {
-  std::string path = ::testing::TempDir() + "/bad_store.txt";
-  {
-    std::ofstream out(path);
-    out << "# qsteer-recommender-store v2\n";
-    out << Sig(1).ToHexString() << " -20 1 0 0 1 2 9 0 0 0 0 \n";  // breaker 9 invalid
-  }
+TEST(Recommender, LegacyV1StoreIsRejected) {
+  // v1 blobs predate the guardrails: no header, five fixed fields + hints.
+  // They carry no validation or breaker state, so they are refused rather
+  // than guessed into serving entries, and the store stays as it was.
+  std::ostringstream v1;
+  v1 << Sig(6).ToHexString() << " -22.5 3 1 0 " << ToHintString(AltConfig(5)) << "\n";
+  v1 << Sig(7).ToHexString() << " -40 1 0 1 " << ToHintString(AltConfig(9)) << "\n";
+  SteeringRecommender rec(FastOptions());
+  Adopt(&rec, Sig(2), AltConfig(2));
+  const std::string before = rec.Serialize();
+  Status status = rec.Deserialize(v1.str());
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(rec.Serialize(), before);
+  EXPECT_EQ(rec.num_groups(), 1);
+}
+
+TEST(Recommender, DeserializeRejectsMalformedStores) {
+  const std::string header = "# qsteer-recommender-store v2\n";
   SteeringRecommender rec;
-  EXPECT_FALSE(rec.LoadFromFile(path).ok());
-  EXPECT_FALSE(rec.LoadFromFile(::testing::TempDir() + "/does_not_exist.txt").ok());
+  // breaker 9 is not a state
+  EXPECT_FALSE(
+      rec.Deserialize(header + Sig(1).ToHexString() + " -20 1 0 0 1 2 9 0 0 0 0 \n").ok());
+  // v2 fields without the header line
+  EXPECT_FALSE(rec.Deserialize(Sig(1).ToHexString() + " -20 1 0 0 1 2 0 0 0 0 0 \n").ok());
+  // v1-width line under the v2 header
+  EXPECT_FALSE(rec.Deserialize(header + Sig(1).ToHexString() + " -20 1 0 0\n").ok());
+  EXPECT_FALSE(rec.Deserialize("").ok());
+  EXPECT_TRUE(rec.Deserialize(header).ok());
+  EXPECT_EQ(rec.num_groups(), 0);
 }
 
 }  // namespace

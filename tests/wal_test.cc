@@ -1,7 +1,7 @@
 // Unit tests of the durability primitives under the steering service:
 // CRC32, atomic + checksummed file I/O, the write-ahead log (roundtrip,
-// torn-tail truncation, corrupt-record truncation, snapshot reset), and
-// the bounded MPMC request queue.
+// torn-tail truncation, corrupt-record truncation, snapshot reset), the
+// durable store's fail-closed recovery, and the bounded MPMC request queue.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -90,10 +90,8 @@ TEST(FileIoTest, ChecksummedRoundTrip) {
   std::string path = dir.Path("store.qrs");
   std::string content = "line one\nline two\n";
   ASSERT_TRUE(WriteFileChecksummed(path, content, /*sync=*/false).ok());
-  bool had_checksum = false;
-  Result<std::string> loaded = ReadFileChecksummed(path, &had_checksum);
+  Result<std::string> loaded = ReadFileChecksummed(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(had_checksum);
   EXPECT_EQ(loaded.value(), content);
 }
 
@@ -120,15 +118,27 @@ TEST(FileIoTest, TruncatedChecksummedFileIsRejected) {
   EXPECT_FALSE(ReadFileChecksummed(path).ok());
 }
 
-TEST(FileIoTest, FileWithoutFooterLoadsUnchecked) {
+TEST(FileIoTest, FileWithoutFooterIsRejected) {
+  // The footer is mandatory: content that cannot be verified is never
+  // returned. InvalidArgument (not NotFound) so callers treat the file as
+  // damaged rather than absent.
   TempDir dir;
   std::string path = dir.Path("legacy.qrs");
   RawWrite(path, "legacy content, no footer\n");
-  bool had_checksum = true;
-  Result<std::string> loaded = ReadFileChecksummed(path, &had_checksum);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_FALSE(had_checksum);
-  EXPECT_EQ(loaded.value(), "legacy content, no footer\n");
+  Result<std::string> loaded = ReadFileChecksummed(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+
+  // Footer-shaped trailers that are not exactly 8 hex digits, and files
+  // too short to hold a footer, are rejected the same way.
+  for (const std::string& raw : {std::string("x\n# crc32 1234567g\n"),
+                                 std::string("x\n# crc32 +1234567\n"), std::string(""),
+                                 std::string("# crc32 0\n")}) {
+    RawWrite(path, raw);
+    loaded = ReadFileChecksummed(path);
+    ASSERT_FALSE(loaded.ok()) << raw;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument) << raw;
+  }
 }
 
 // ------------------------------------------------------------------ wal
@@ -585,6 +595,194 @@ TEST(DurableStoreInstallTest, ApplyReplicatedRejectsGaps) {
   EXPECT_TRUE(store.ApplyReplicated(events[0].first, events[0].second).ok());
   EXPECT_TRUE(store.ApplyReplicated(events[1].first, events[1].second).ok());
   EXPECT_EQ(store.applied_seq(), 2u);
+}
+
+// ------------------------------------------------ fail-closed recovery
+//
+// Open() must refuse state it cannot fully account for: a snapshot that
+// lost its crc32 footer (truncated or written by something else), a
+// snapshot without its `# seq N` watermark, and a WAL whose tail does not
+// continue contiguously from the watermark. Each of these used to load
+// "successfully" with acknowledged events silently missing.
+
+// Learns `groups` distinct groups (one journaled event each) into a durable
+// store, optionally snapshots, and drops it without a shutdown snapshot.
+void LearnGroupsAndCrash(const DurableStoreOptions& options, int groups, bool snapshot) {
+  DurableRecommenderStore store(options);
+  ASSERT_TRUE(store.Open().ok());
+  for (int g = 0; g < groups; ++g) Learn(store, 10 + g, g, -20.0);
+  if (snapshot) {
+    ASSERT_TRUE(store.Snapshot().ok());
+  }
+}
+
+TEST(DurableStoreRecoveryTest, SnapshotTruncatedOnLineBoundaryFailsOpen) {
+  TempDir dir;
+  DurableStoreOptions options = InstallStoreOptions(dir.Path("store"));
+  std::filesystem::create_directories(options.dir);
+  LearnGroupsAndCrash(options, 4, /*snapshot=*/true);
+  DurableRecommenderStore probe(options);
+  const std::string raw = RawRead(probe.snapshot_path());
+  // Keep the header and the first three entry lines: a well-formed store
+  // with one group (and the watermark and footer) missing.
+  size_t cut = 0;
+  for (int line = 0; line < 4; ++line) cut = raw.find('\n', cut) + 1;
+  RawWrite(probe.snapshot_path(), raw.substr(0, cut));
+
+  DurableRecommenderStore reopened(options);
+  Status status = reopened.Open();
+  ASSERT_FALSE(status.ok()) << "a truncated snapshot must not load 3 of 4 groups";
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+}
+
+TEST(DurableStoreRecoveryTest, FooterlessSnapshotFailsOpen) {
+  TempDir dir;
+  DurableStoreOptions options = InstallStoreOptions(dir.Path("store"));
+  std::filesystem::create_directories(options.dir);
+  LearnGroupsAndCrash(options, 2, /*snapshot=*/true);
+  DurableRecommenderStore probe(options);
+  std::string raw = RawRead(probe.snapshot_path());
+  // Drop exactly the footer line: every store line and the watermark stay.
+  raw.resize(raw.rfind("# crc32 "));
+  RawWrite(probe.snapshot_path(), raw);
+
+  DurableRecommenderStore reopened(options);
+  Status status = reopened.Open();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+}
+
+TEST(DurableStoreRecoveryTest, SnapshotWithoutValidWatermarkFailsOpen) {
+  TempDir dir;
+  DurableStoreOptions options = InstallStoreOptions(dir.Path("store"));
+  std::filesystem::create_directories(options.dir);
+  LearnGroupsAndCrash(options, 2, /*snapshot=*/true);
+  DurableRecommenderStore probe(options);
+  Result<std::string> content = ReadFileChecksummed(probe.snapshot_path());
+  ASSERT_TRUE(content.ok());
+  const std::string body = content.value().substr(0, content.value().rfind("# seq "));
+  // Correctly checksummed, but the watermark is missing or not a number.
+  for (const std::string& tail : {std::string(""), std::string("# seq \n"),
+                                  std::string("# seq 2x\n"), std::string("# seq -2\n"),
+                                  std::string("# seq 99999999999999999999999\n")}) {
+    ASSERT_TRUE(WriteFileChecksummed(probe.snapshot_path(), body + tail, false).ok());
+    DurableRecommenderStore reopened(options);
+    EXPECT_FALSE(reopened.Open().ok()) << "tail: " << tail;
+  }
+  // A replication install runs the same decoder and leaves state untouched.
+  DurableRecommenderStore follower;
+  ASSERT_TRUE(follower.Open().ok());
+  Status status = follower.InstallSnapshot(body);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(follower.snapshot_installs(), 0);
+  EXPECT_EQ(follower.num_groups(), 0);
+}
+
+TEST(DurableStoreRecoveryTest, DeletedSnapshotWithSurvivingWalTailFailsOpen) {
+  // snapshot_interval 4: events 1..4 went into snapshot.qrs and the WAL was
+  // reset, so the WAL holds only 5..6. Without the snapshot, replaying 5..6
+  // onto an empty store would "recover" 2 of 6 groups at applied_seq 6.
+  TempDir dir;
+  DurableStoreOptions options = InstallStoreOptions(dir.Path("store"));
+  options.snapshot_interval = 4;
+  std::filesystem::create_directories(options.dir);
+  LearnGroupsAndCrash(options, 6, /*snapshot=*/false);
+  DurableRecommenderStore probe(options);
+  ASSERT_TRUE(std::filesystem::remove(probe.snapshot_path()));
+
+  DurableRecommenderStore reopened(options);
+  Status status = reopened.Open();
+  ASSERT_FALSE(status.ok()) << "WAL tail 5..6 without events 1..4 is a gap";
+  EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(DurableStoreRecoveryTest, NonContiguousWalFailsOpen) {
+  // Once replay has started, every record must be the previous one + 1: a
+  // jump forward (3 -> 5) lost an event, a step back (3 -> 2) is not this
+  // store's history.
+  TempDir dir;
+  DurableStoreOptions options = InstallStoreOptions(dir.Path("store"));
+  std::filesystem::create_directories(options.dir);
+  std::vector<std::pair<uint64_t, std::string>> events;
+  {
+    DurableRecommenderStore source;
+    ASSERT_TRUE(source.Open().ok());
+    source.SetMutationListener([&](uint64_t seq, const std::string& payload) {
+      events.emplace_back(seq, payload);
+    });
+    for (int g = 0; g < 5; ++g) Learn(source, 20 + g, g, -15.0);
+  }
+  ASSERT_EQ(events.size(), 5u);
+  DurableRecommenderStore probe(options);
+  auto write_wal = [&](const std::vector<size_t>& order) {
+    WriteAheadLog wal;
+    ASSERT_TRUE(wal.Open(probe.wal_path(), /*sync_each_append=*/false).ok());
+    ASSERT_TRUE(wal.Reset().ok());
+    for (size_t i : order) ASSERT_TRUE(wal.Append(events[i].first, events[i].second).ok());
+  };
+  for (const std::vector<size_t>& order :
+       {std::vector<size_t>{0, 1, 2, 4}, std::vector<size_t>{0, 1, 2, 1}}) {
+    write_wal(order);
+    DurableRecommenderStore reopened(options);
+    Status status = reopened.Open();
+    ASSERT_FALSE(status.ok()) << "last record index " << order.back();
+    EXPECT_EQ(status.code(), StatusCode::kFailedPrecondition);
+  }
+
+  // The contiguous prefix alone recovers normally.
+  write_wal({0, 1, 2});
+  DurableRecommenderStore recovered(options);
+  ASSERT_TRUE(recovered.Open().ok());
+  EXPECT_EQ(recovered.applied_seq(), 3u);
+  EXPECT_EQ(recovered.num_groups(), 3);
+}
+
+// ------------------------------------------------------------ serving view
+
+TEST(DurableStoreViewTest, FastPathTracksPlainRecommenderThroughBreakerCycle) {
+  // The view is republished only for events that change their group's
+  // row; RecommendFast must still answer exactly what a plain recommender
+  // fed the same events answers, through validation, clean outcomes,
+  // a trip, the cooldown ticks, half-open probes and the re-close.
+  DurableStoreOptions options;  // ephemeral
+  DurableRecommenderStore store(options);
+  ASSERT_TRUE(store.Open().ok());
+  SteeringRecommender plain(options.recommender);
+  const RuleSignature sig = BitVector256::FromIndices({4, 40});
+  const RuleSignature other = BitVector256::FromIndices({5, 50});
+
+  SteeringRecommender::CandidateObservation observation;
+  observation.signature = sig;
+  observation.config = RuleConfig::AllEnabled();
+  observation.improvement_pct = -20.0;
+  ASSERT_TRUE(store.LearnCandidate(observation));
+  ASSERT_TRUE(plain.LearnCandidate(observation));
+  auto same = [&](const char* step) {
+    EXPECT_EQ(store.RecommendFast(sig), plain.Recommend(sig)) << step;
+    EXPECT_EQ(store.RecommendFast(other), plain.Recommend(other)) << step;
+  };
+  same("pending validation");
+  for (int v = 0; v < options.recommender.validation_runs; ++v) {
+    store.ObserveValidation(sig, -10.0);
+    plain.ObserveValidation(sig, -10.0);
+    same("validation run");
+  }
+  const double outcomes[] = {-3.0, 40.0, -3.0, 40.0, 40.0};  // the last two trip it
+  for (double change : outcomes) {
+    store.ObserveOutcome(sig, change);
+    plain.ObserveOutcome(sig, change);
+    same("outcome");
+  }
+  EXPECT_EQ(store.num_open(), 1);
+  for (int tick = 0; tick < options.recommender.breaker_cooldown; ++tick) same("cooldown tick");
+  for (int probe = 0; probe < options.recommender.breaker_probe_successes; ++probe) {
+    EXPECT_TRUE(store.RecommendFast(sig).probing);
+    store.ObserveOutcome(sig, -3.0);
+    plain.ObserveOutcome(sig, -3.0);
+    same("probe outcome");
+  }
+  EXPECT_FALSE(store.RecommendFast(sig).probing);
+  EXPECT_EQ(store.SerializeState(), plain.Serialize());
 }
 
 // -------------------------------------------------------- bounded queue
