@@ -1,7 +1,10 @@
 // Parallel-pipeline scaling bench: wall-clock of the §5-§6 candidate
 // recompilation + A/B execution for one job at 200 candidates, serial and
 // at 1/2/4/N pool workers, verifying bit-identical analyses throughout and
-// reporting the pool counters. Machine-readable baseline in
+// reporting the pool counters. The scaling rows run with the compile cache
+// off, so every row times real compiles; one last row repeats the serial
+// analysis against a compile cache warmed by a first analysis of the same
+// job (the recurring-job case). Machine-readable baseline in
 // BENCH_parallel.json (regenerate with this binary when the pipeline's
 // parallel stages change).
 //
@@ -13,11 +16,11 @@
 //   $ ./bench/bench_parallel_pipeline [max_workers] [--budget=N] [--rank]
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/argparse.h"
 #include "core/pipeline.h"
 
 using namespace qsteer;
@@ -61,22 +64,26 @@ bool SameDigest(const AnalysisDigest& a, const AnalysisDigest& b) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Header("Parallel pipeline scaling: one job, 200 candidate recompilations",
-         "the offline discovery loop is embarrassingly parallel across candidates "
-         "(§5 ran it as a massively parallel batch job)");
-
   int max_workers = 0;
   int compile_budget = 0;
   bool rank_candidates = false;
   for (int i = 1; i < argc; ++i) {
+    bool ok = true;
     if (std::strncmp(argv[i], "--budget=", 9) == 0) {
-      compile_budget = std::atoi(argv[i] + 9);
+      ok = ParseIntArg(argv[i] + 9, 0, 1 << 30, &compile_budget);
     } else if (std::strcmp(argv[i], "--rank") == 0) {
       rank_candidates = true;
     } else {
-      max_workers = std::atoi(argv[i]);
+      ok = ParseIntArg(argv[i], 0, 256, &max_workers);
+    }
+    if (!ok) {
+      std::fprintf(stderr, "usage: %s [max_workers 0-256] [--budget=N] [--rank]\n", argv[0]);
+      return 2;
     }
   }
+  Header("Parallel pipeline scaling: one job, 200 candidate recompilations",
+         "the offline discovery loop is embarrassingly parallel across candidates "
+         "(§5 ran it as a massively parallel batch job)");
   if (max_workers <= 0) {
     max_workers = static_cast<int>(std::thread::hardware_concurrency());
     if (max_workers <= 0) max_workers = 4;
@@ -88,6 +95,7 @@ int main(int argc, char** argv) {
   Job job = workload.MakeJob(4, /*day=*/3);
 
   PipelineOptions base;
+  base.compile_cache_mb = 0;
   base.max_candidate_configs = 200;
   base.configs_to_execute = 10;
   base.compile_budget = compile_budget;
@@ -106,23 +114,33 @@ int main(int argc, char** argv) {
 
   std::printf("hardware threads: %u; job: %s (%d operators)\n\n",
               std::thread::hardware_concurrency(), job.name.c_str(), job.NumOperators());
-  std::printf("%8s %10s %9s %9s %12s %11s\n", "workers", "wall_s", "speedup", "tasks",
-              "utilization", "identical");
+  std::printf("%8s %6s %10s %9s %9s %12s %11s\n", "workers", "cache", "wall_s", "speedup",
+              "tasks", "utilization", "identical");
 
   double serial_seconds = 0.0;
   AnalysisDigest serial_digest;
   bool all_identical = true;
-  for (int workers : worker_counts) {
+  // The last pass is the cached row: serial, compile cache on and warmed.
+  std::vector<int> rows = worker_counts;
+  rows.push_back(0);
+  for (size_t row = 0; row < rows.size(); ++row) {
+    const bool cached = row + 1 == rows.size();
     PipelineOptions options = base;
-    options.num_threads = workers;
+    options.num_threads = rows[row];
+    if (cached) options.compile_cache_mb = PipelineOptions{}.compile_cache_mb;
     SteeringPipeline pipeline(&optimizer, &simulator, options);
-    // Warm-up compile so first-touch catalog/statistics costs are excluded.
-    pipeline.Recompile(job);
+    // Warm-up so first-touch catalog/statistics costs are excluded; the
+    // cached row also fills the compile cache with this job's candidates.
+    if (cached) {
+      pipeline.AnalyzeJob(job);
+    } else {
+      pipeline.Recompile(job);
+    }
 
     JobAnalysis analysis;
     double seconds = SecondsOf([&] { analysis = pipeline.AnalyzeJob(job); });
     AnalysisDigest digest = DigestOf(analysis);
-    if (workers == 0) {
+    if (row == 0) {
       serial_seconds = seconds;
       serial_digest = digest;
     }
@@ -130,16 +148,20 @@ int main(int argc, char** argv) {
     all_identical = all_identical && identical;
 
     ThreadPoolStats stats = pipeline.pool_stats();
-    std::printf("%8d %10.3f %8.2fx %9lld %10.0f%% %11s\n", workers, seconds,
-                seconds > 0 ? serial_seconds / seconds : 0.0,
+    std::printf("%8d %6s %10.4f %8.2fx %9lld %10.0f%% %11s\n", rows[row],
+                cached ? "warm" : "off", seconds, seconds > 0 ? serial_seconds / seconds : 0.0,
                 static_cast<long long>(stats.tasks_submitted), stats.Utilization() * 100.0,
                 identical ? "yes" : "NO");
+    if (cached) {
+      std::printf("(warm row: compile cache hit rate %.0f%% over both analyses)\n",
+                  pipeline.compile_cache_stats().HitRate() * 100.0);
+    }
   }
 
   std::printf("\nresults bit-identical across all worker counts: %s\n",
               all_identical ? "yes" : "NO — determinism contract violated");
-  std::printf("(speedup saturates at the machine's core count; on a single-core host all\n"
-              " rows measure scheduling overhead only — see BENCH_parallel.json notes)\n");
+  std::printf("(speedup saturates at the machine's core count; on a single-core host the\n"
+              " scaling rows measure scheduling overhead only)\n");
   Footer();
   return all_identical ? 0 : 1;
 }

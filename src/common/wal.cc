@@ -69,9 +69,16 @@ Status WriteAheadLog::Open(const std::string& path, bool sync_each_append) {
   Close();
   int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
   if (fd < 0) return Errno("cannot open wal", path);
+  off_t end = ::lseek(fd, 0, SEEK_END);
+  if (end < 0) {
+    ::close(fd);
+    return Errno("cannot seek wal", path);
+  }
   fd_ = fd;
   path_ = path;
   sync_each_append_ = sync_each_append;
+  intact_end_ = end;
+  torn_ = false;
   return Status::OK();
 }
 
@@ -87,6 +94,12 @@ Status WriteAheadLog::Append(uint64_t seq, std::string_view payload) {
   if (payload.size() > kMaxPayloadBytes) {
     return Status::InvalidArgument("wal payload too large");
   }
+  if (torn_) {
+    // O_APPEND writes land at the file's end, so the previous failure's
+    // partial frame must go first or it would hide this record from replay.
+    if (::ftruncate(fd_, intact_end_) != 0) return Errno("wal truncate failed", path_);
+    torn_ = false;
+  }
   // One buffered write per record: a crash can tear the record (recovery
   // truncates it) but never interleave two records.
   std::vector<unsigned char> record(kHeaderBytes + payload.size());
@@ -94,6 +107,7 @@ Status WriteAheadLog::Append(uint64_t seq, std::string_view payload) {
   PutU32(record.data() + 4, RecordCrc(seq, payload));
   PutU64(record.data() + 8, seq);
   std::memcpy(record.data() + kHeaderBytes, payload.data(), payload.size());
+  torn_ = true;  // until the record is whole (and synced)
   if (short_write_armed_) {
     // Injected ENOSPC / crash-mid-write: persist only a prefix of the frame,
     // then fail. The torn frame is exactly what Recover() must truncate.
@@ -107,14 +121,17 @@ Status WriteAheadLog::Append(uint64_t seq, std::string_view payload) {
   Status status = WriteAll(fd_, record.data(), record.size(), path_);
   if (!status.ok()) return status;
   if (sync_each_append_ && ::fsync(fd_) != 0) return Errno("wal fsync failed", path_);
+  torn_ = false;
+  intact_end_ += static_cast<int64_t>(record.size());
   ++appended_records_;
-  appended_bytes_ += static_cast<int64_t>(record.size());
   return Status::OK();
 }
 
 Status WriteAheadLog::Reset() {
   if (fd_ < 0) return Status::FailedPrecondition("wal not open");
   if (::ftruncate(fd_, 0) != 0) return Errno("wal truncate failed", path_);
+  intact_end_ = 0;
+  torn_ = false;
   if (sync_each_append_ && ::fsync(fd_) != 0) return Errno("wal fsync failed", path_);
   return Status::OK();
 }

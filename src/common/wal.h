@@ -56,7 +56,9 @@ class WriteAheadLog {
 
   /// Journals one record. `seq` must be strictly increasing per log; this
   /// is the application's event sequence, used by recovery to skip events
-  /// already captured by a snapshot.
+  /// already captured by a snapshot. After a failed Append the next one
+  /// first truncates the file back to its last intact record (and fails,
+  /// writing nothing, if it cannot), so a torn frame never hides it.
   Status Append(uint64_t seq, std::string_view payload);
 
   /// Truncates the log to empty (after a successful snapshot made its
@@ -64,7 +66,6 @@ class WriteAheadLog {
   Status Reset();
 
   int64_t appended_records() const { return appended_records_; }
-  int64_t appended_bytes() const { return appended_bytes_; }
 
   struct RecoveryInfo {
     int64_t records = 0;         // intact records replayed
@@ -99,7 +100,8 @@ class WriteAheadLog {
   std::string path_;
   bool sync_each_append_ = true;
   int64_t appended_records_ = 0;
-  int64_t appended_bytes_ = 0;
+  int64_t intact_end_ = 0;  // file offset just past the last intact record
+  bool torn_ = false;       // a failed Append may have left bytes past it
   bool short_write_armed_ = false;
   size_t short_write_max_bytes_ = 0;
 };

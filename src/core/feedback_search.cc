@@ -37,10 +37,11 @@ FeedbackSearchResult FeedbackSearch::Run(const Job& job) const {
       PlanHash(default_plan.value().root, /*for_template=*/false)};
 
   for (int round = 0; round < options_.rounds; ++round) {
-    // Sampling weights from scores (softmax-ish).
+    // Sampling weights: softmax over scores (a higher temperature explores more).
+    constexpr double kTemperature = 0.5;
     std::vector<double> weight(span_ids.size());
     for (size_t i = 0; i < span_ids.size(); ++i) {
-      weight[i] = std::exp(std::clamp(score[i] / options_.temperature, -6.0, 6.0));
+      weight[i] = std::exp(std::clamp(score[i] / kTemperature, -6.0, 6.0));
     }
     double total_weight = 0.0;
     for (double w : weight) total_weight += w;

@@ -481,10 +481,14 @@ std::vector<int> SteeringPipeline::SelectJobsInWindow(
 
 std::vector<int> SteeringPipeline::SelectLowCostHighRuntime(
     const std::vector<double>& est_costs, const std::vector<double>& runtimes) const {
+  // Fig. 5's top-left corner: estimated cost below this quantile of the
+  // workload's costs and runtime above this quantile of its runtimes.
+  constexpr double kLowCostQuantile = 0.4;
+  constexpr double kHighRuntimeQuantile = 0.7;
   std::vector<int> out;
   if (est_costs.empty() || est_costs.size() != runtimes.size()) return out;
-  double cost_threshold = Percentile(est_costs, options_.low_cost_quantile * 100.0);
-  double runtime_threshold = Percentile(runtimes, options_.high_runtime_quantile * 100.0);
+  double cost_threshold = Percentile(est_costs, kLowCostQuantile * 100.0);
+  double runtime_threshold = Percentile(runtimes, kHighRuntimeQuantile * 100.0);
   for (size_t i = 0; i < est_costs.size(); ++i) {
     if (est_costs[i] <= cost_threshold && runtimes[i] >= runtime_threshold) {
       out.push_back(static_cast<int>(i));

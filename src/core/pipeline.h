@@ -33,12 +33,6 @@ struct PipelineOptions {
   /// longer ones too expensive to re-execute (§5.3: 5 minutes to 1 hour).
   double min_runtime_s = 300.0;
   double max_runtime_s = 3600.0;
-  /// "Clearly cheaper" threshold for the cheaper-plans heuristic (§6.1).
-  double cheaper_cost_ratio = 0.7;
-  /// Low-cost/high-runtime heuristic thresholds (Fig. 5's top-left corner):
-  /// estimated cost below this quantile and runtime above this quantile.
-  double low_cost_quantile = 0.4;
-  double high_runtime_quantile = 0.7;
   /// Base seed of the analysis. Per-candidate simulator noise is derived
   /// from hash(seed, candidate config), never from shared sequential RNG
   /// state, so results are independent of candidate evaluation order.
@@ -269,10 +263,8 @@ class SteeringPipeline {
   /// the failed attempts; `failed` stays set when every attempt failed.
   ExecMetrics ExecuteWithRetry(const Job& job, const PlanNodePtr& root, uint64_t nonce) const;
 
-  /// §6.1 job-selection heuristics over a day of (already default-compiled
-  /// and default-executed) jobs. Returns indices into `runtimes`/`costs`:
-  /// jobs in the runtime window that either have clearly-cheaper recompiled
-  /// plans (checked later) or sit in the low-cost/high-runtime corner.
+  /// §5.3 job selection over a day of default-executed jobs: the indices of
+  /// the jobs whose default runtime lies in [min_runtime_s, max_runtime_s].
   std::vector<int> SelectJobsInWindow(const std::vector<double>& default_runtimes) const;
 
   /// The Fig.-5 corner test given workload-level cost/runtime distributions.

@@ -21,17 +21,24 @@ const char* BreakerStateName(BreakerState state) {
   return "?";
 }
 
+namespace {
+// Percent runtime change above which an observed run counts as a regression.
+constexpr double kRegressionThresholdPct = 5.0;
+}  // namespace
+
 SteeringRecommender::SteeringRecommender(RecommenderOptions options) : options_(options) {}
 
 std::optional<SteeringRecommender::CandidateObservation> SteeringRecommender::ExtractCandidate(
-    const JobAnalysis& analysis, const RecommenderOptions& options) {
+    const JobAnalysis& analysis, const RecommenderOptions& /*unused*/) {
   if (analysis.default_plan.root == nullptr) return std::nullopt;
   // A failed default run has no trustworthy baseline to learn against.
   if (analysis.default_metrics.failed) return std::nullopt;
   const ConfigOutcome* best = analysis.BestBy(Metric::kRuntime);
   if (best == nullptr) return std::nullopt;
+  // The improvement (negative percentage) a candidate must show.
+  constexpr double kMinImprovementPct = -10.0;
   double change = analysis.BestRuntimeChangePct();
-  if (change > options.min_improvement_pct) return std::nullopt;
+  if (change > kMinImprovementPct) return std::nullopt;
   CandidateObservation observation;
   observation.signature = analysis.default_plan.signature;
   observation.config = best->config;
@@ -58,7 +65,7 @@ bool SteeringRecommender::LearnCandidate(const CandidateObservation& observation
 }
 
 bool SteeringRecommender::LearnFromAnalysis(const JobAnalysis& analysis) {
-  std::optional<CandidateObservation> observation = ExtractCandidate(analysis, options_);
+  std::optional<CandidateObservation> observation = ExtractCandidate(analysis);
   return observation.has_value() && LearnCandidate(*observation);
 }
 
@@ -88,7 +95,7 @@ void SteeringRecommender::ObserveValidation(const RuleSignature& signature,
   auto it = store_.find(signature);
   if (it == store_.end() || it->second.retired || it->second.adopted) return;
   Entry& entry = it->second;
-  if (runtime_change_pct > options_.regression_threshold_pct) {
+  if (runtime_change_pct > kRegressionThresholdPct) {
     // A candidate that regresses under validation never reaches production.
     ++entry.regressions;
     Retire(&entry);
@@ -175,7 +182,7 @@ void SteeringRecommender::ObserveOutcome(const RuleSignature& default_signature,
   auto it = store_.find(default_signature);
   if (it == store_.end() || it->second.retired || !it->second.adopted) return;
   Entry& entry = it->second;
-  bool regressed = runtime_change_pct > options_.regression_threshold_pct;
+  bool regressed = runtime_change_pct > kRegressionThresholdPct;
 
   switch (entry.breaker) {
     case BreakerState::kClosed:

@@ -34,12 +34,6 @@
 namespace qsteer {
 
 struct RecommenderOptions {
-  /// Minimum improvement (negative percentage) a base-job analysis must show
-  /// before its configuration becomes a candidate for the group.
-  double min_improvement_pct = -10.0;
-  /// Regression threshold when observing outcomes (percent runtime change;
-  /// observations above it count as failures).
-  double regression_threshold_pct = 5.0;
   /// Successful validation re-runs required before a candidate is adopted
   /// (0 adopts immediately — the pre-guardrail behavior).
   int validation_runs = 2;
@@ -75,9 +69,10 @@ class SteeringRecommender {
   /// Analysis-side half of LearnFromAnalysis: returns the observation a
   /// trustworthy, sufficiently-improving analysis yields, or nullopt when
   /// the analysis teaches nothing (failed baseline, no executed
-  /// alternative, improvement above the bar). Pure: no store access.
+  /// alternative, improvement above the bar). Pure: no store access. The
+  /// options argument is unused; qbench/discover.cc still passes it.
   static std::optional<CandidateObservation> ExtractCandidate(
-      const JobAnalysis& analysis, const RecommenderOptions& options);
+      const JobAnalysis& analysis, const RecommenderOptions& /*unused*/ = {});
 
   /// Store-side half: applies one (possibly replayed) observation.
   /// Remembers the best configuration for the signature group as a

@@ -57,10 +57,10 @@ struct JobOutput {
   std::vector<RankerExample> ranker_examples;
 };
 
-JobOutput ReduceAnalysis(const JobAnalysis& analysis, const RecommenderOptions& options) {
+JobOutput ReduceAnalysis(const JobAnalysis& analysis) {
   JobOutput out;
   std::optional<SteeringRecommender::CandidateObservation> candidate =
-      SteeringRecommender::ExtractCandidate(analysis, options);
+      SteeringRecommender::ExtractCandidate(analysis);
   if (candidate.has_value()) {
     out.has_obs = true;
     out.obs.signature_hex = candidate->signature.ToHexString();
@@ -182,6 +182,13 @@ ShardOrchestrator::~ShardOrchestrator() = default;
 
 namespace {
 
+// Simulated cost of one shard dispatch, in logical ticks.
+constexpr int64_t kBaseCostTicks = 40;
+constexpr int64_t kPerJobCostTicks = 7;
+// Dispatches per shard before the last one runs to completion without a
+// lease (bounds speculative re-execution).
+constexpr int kMaxLeaseAttempts = 3;
+
 /// Deterministic lease-and-speculation schedule over the shards that need
 /// computing, in logical ticks. Returns shard positions in completion
 /// order; content never depends on this — only commit order and counters.
@@ -220,8 +227,8 @@ std::vector<int> SimulateLeases(const std::vector<int64_t>& shard_jobs,
       if (worker_free[i] < worker_free[w]) w = i;
     }
     int64_t start = std::max(worker_free[w], d.release);
-    int64_t cost = options.base_cost_ticks +
-                   options.per_job_cost_ticks * shard_jobs[static_cast<size_t>(d.shard_pos)];
+    int64_t cost =
+        kBaseCostTicks + kPerJobCostTicks * shard_jobs[static_cast<size_t>(d.shard_pos)];
     uint64_t draw = Mix64(HashCombine(HashCombine(options.seed, 0x5ea5e5ull),
                                       HashCombine(static_cast<uint64_t>(d.shard_pos),
                                                   static_cast<uint64_t>(d.attempt))));
@@ -231,7 +238,7 @@ std::vector<int> SimulateLeases(const std::vector<int64_t>& shard_jobs,
     }
     ++counters->leases_granted;
     int64_t end = start + cost;
-    if (cost > options.lease_ticks && d.attempt < std::max(1, options.max_lease_attempts)) {
+    if (cost > options.lease_ticks && d.attempt < kMaxLeaseAttempts) {
       // Deadline miss: the lease expires mid-run and a speculative copy is
       // re-dispatched the moment it does. The original is not preempted —
       // whichever copy finishes first completes the shard.
@@ -444,7 +451,7 @@ Result<DiscoveryResult> ShardOrchestrator::Run() {
       impl_->pool.get(), static_cast<int64_t>(flat.size()), [&](int64_t i) -> JobOutput {
         const Job& job = jobs[static_cast<size_t>(flat[static_cast<size_t>(i)].second)];
         JobAnalysis analysis = impl_->pipeline->AnalyzeJob(job);
-        JobOutput output = ReduceAnalysis(analysis, options_.recommender);
+        JobOutput output = ReduceAnalysis(analysis);
         output.ranker_examples = std::move(analysis.ranker_examples);
         return output;
       });
@@ -622,9 +629,9 @@ Result<UnshardedDiscovery> DiscoverUnsharded(const Workload* workload, int day,
     // through the artifact text round trip, so byte-equality of the two
     // stores also proves the round trip exact.
     std::optional<SteeringRecommender::CandidateObservation> candidate =
-        SteeringRecommender::ExtractCandidate(analysis, options.recommender);
+        SteeringRecommender::ExtractCandidate(analysis);
     if (candidate.has_value()) store.LearnCandidate(*candidate);
-    JobOutput output = ReduceAnalysis(analysis, options.recommender);
+    JobOutput output = ReduceAnalysis(analysis);
     if (output.has_row) KeepBetterRow(&rows, output.row);
   }
   out.store = store.Serialize();

@@ -90,15 +90,10 @@ struct DiscoveryOptions {
 
   // Lease simulation (deterministic logical ticks).
   int64_t lease_ticks = 600;
-  int64_t base_cost_ticks = 40;
-  int64_t per_job_cost_ticks = 7;
   /// Probability a dispatch is a straggler (cost multiplied by
   /// `straggler_factor`), drawn from hash(seed, shard, attempt).
   double straggler_fraction = 0.05;
   double straggler_factor = 40.0;
-  /// Dispatches per shard before the last one runs to completion without
-  /// a lease (bounds speculative re-execution).
-  int max_lease_attempts = 3;
 
   /// Pre-warm the pipeline's compile cache from this SaveCompileCache file
   /// before computing (empty = cold start). Rejection — corrupt, torn,

@@ -50,6 +50,11 @@ ExecutionSimulator::ExecutionSimulator(const Catalog* catalog, SimulatorOptions 
 
 namespace {
 
+// Lognormal sigma of cluster noise for long jobs; short jobs get more
+// (paper §3.1.1: ~10% variance on short jobs).
+constexpr double kNoiseSigmaLong = 0.02;
+constexpr double kNoiseSigmaShort = 0.08;
+
 struct NodeResult {
   LogicalStats stats;
   /// Earliest completion time of this fragment (critical path).
@@ -192,9 +197,8 @@ ExecMetrics ExecutionSimulator::Execute(const Job& job, const PlanNodePtr& physi
   if (!options_.deterministic) {
     // Cluster noise: short jobs are noisier (resource allocation jitter,
     // scheduling) than long ones, as observed in the paper (§3.1.1).
-    double sigma = metrics.runtime < options_.short_job_threshold
-                       ? options_.noise_sigma_short
-                       : options_.noise_sigma_long;
+    double sigma =
+        metrics.runtime < options_.short_job_threshold ? kNoiseSigmaShort : kNoiseSigmaLong;
     uint64_t seed = HashCombine(HashString(job.name), PlanHash(physical_root, false));
     seed = HashCombine(seed, run_nonce + 0x777);
     Pcg32 rng(seed, /*stream=*/59);

@@ -100,10 +100,6 @@ struct SimulatorOptions {
   /// fixes 50 tokens per job).
   int tokens = 50;
   CostParams cost_params = CostParams::ClusterTruth();
-  /// Lognormal sigma of cluster noise for long jobs; short jobs get more
-  /// (paper §3.1.1: ~10% variance on short jobs).
-  double noise_sigma_long = 0.02;
-  double noise_sigma_short = 0.08;
   /// Runtime (seconds) below which a job counts as "short" for noise.
   double short_job_threshold = 300.0;
   /// Disable noise entirely (unit tests).

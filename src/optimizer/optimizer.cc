@@ -11,6 +11,13 @@ namespace qsteer {
 
 namespace {
 
+/// Logical expressions copied into an aliasing group per alias.
+constexpr int kMaxGroupAliasCopies = 4;
+/// Parallelism search: degree-of-parallelism cap and the vertex-sizing
+/// heuristic (~256 MB of input per vertex).
+constexpr int kMaxDop = 128;
+constexpr double kBytesPerVertex = 2.56e8;
+
 /// Per-compilation state (the "optimize context" of the threading model,
 /// DESIGN.md "Threading model"): every mutable structure a compilation
 /// touches — memo, derived statistics, extraction caches, the rule-
@@ -397,7 +404,7 @@ class CompileState {
       int copied = 0;
       std::vector<ExprId> to_copy = leaf.exprs;  // snapshot: AddExpr mutates
       for (ExprId eid : to_copy) {
-        if (copied >= options_.max_group_alias_copies) break;
+        if (copied >= kMaxGroupAliasCopies) break;
         const GroupExpr e = memo_.expr(eid);  // copy: vector may reallocate
         if (!e.is_logical) continue;
         if (static_cast<int>(memo_.group(target_group).exprs.size()) >=
@@ -466,13 +473,11 @@ class CompileState {
   std::vector<int> DopCandidates(double bytes, int required_dop, int natural = 0) const {
     if (required_dop > 0) return {required_dop};
     int work = static_cast<int>(
-        std::clamp(bytes / options_.bytes_per_vertex, 1.0,
-                   static_cast<double>(options_.max_dop)));
+        std::clamp(bytes / kBytesPerVertex, 1.0, static_cast<double>(kMaxDop)));
     std::vector<int> out = {work};
-    int doubled = std::min(work * 2, options_.max_dop);
+    int doubled = std::min(work * 2, kMaxDop);
     if (doubled != work) out.push_back(doubled);
-    if (natural > 0 && natural != work && natural != doubled &&
-        natural <= options_.max_dop) {
+    if (natural > 0 && natural != work && natural != doubled && natural <= kMaxDop) {
       out.push_back(natural);
     }
     return out;
@@ -847,7 +852,7 @@ class CompileState {
               const Winner* child = OptimizeGroup(expr.children[i], child_reqs[i]);
               total += std::max(1, child->delivered.dop);
             }
-            opt.delivered.dop = std::min(total, options_.max_dop * 2);
+            opt.delivered.dop = std::min(total, kMaxDop * 2);
             opt.dop = opt.delivered.dop;
           }
         }

@@ -33,11 +33,6 @@ struct OptimizerOptions {
   /// Exploration budgets (SCOPE-style caps keep huge DAG jobs tractable).
   int max_exprs_per_group = 12;
   int max_total_exprs = 4000;
-  int max_group_alias_copies = 4;
-
-  /// Parallelism search.
-  int max_dop = 128;
-  double bytes_per_vertex = 2.56e8;  // sizing heuristic: ~256 MB per vertex
 
   CostParams cost_params = CostParams::OptimizerBeliefs();
 };

@@ -129,8 +129,9 @@ Status DurableRecommenderStore::Open() {
         }
         Status status = CheckNextSeq("wal replay", applied_seq_, seq);
         if (!status.ok()) return status;
-        Result<Applied> applied = ApplyPayload(std::string(payload));
-        if (!applied.ok()) return applied.status();
+        Result<Event> event = DecodeEvent(std::string(payload));
+        if (!event.ok()) return event.status();
+        ApplyEvent(event.value());
         applied_seq_ = seq;
         ++recovery_.wal_records_replayed;
         return Status::OK();
@@ -165,7 +166,7 @@ SteeringRecommender::Recommendation DurableRecommenderStore::RecommendFast(
   return Recommend(signature);
 }
 
-Result<DurableRecommenderStore::Applied> DurableRecommenderStore::ApplyPayload(
+Result<DurableRecommenderStore::Event> DurableRecommenderStore::DecodeEvent(
     const std::string& payload) {
   // Payloads are single-line text events:
   //   L <sig-hex> <improvement-pct> <hint-string (may be empty)>
@@ -177,45 +178,51 @@ Result<DurableRecommenderStore::Applied> DurableRecommenderStore::ApplyPayload(
   if (!(in >> type >> sig_hex)) {
     return Status::InvalidArgument("malformed wal event: " + payload);
   }
-  RuleSignature signature = BitVector256::FromHexString(sig_hex);
-  if (signature.None() && sig_hex != std::string(64, '0')) {
+  if (type != "L" && type != "V" && type != "O" && type != "R") {
+    return Status::InvalidArgument("unknown wal event type: " + payload);
+  }
+  Event event;
+  event.type = type[0];
+  event.signature = BitVector256::FromHexString(sig_hex);
+  if (event.signature.None() && sig_hex != std::string(64, '0')) {
     return Status::InvalidArgument("bad signature in wal event: " + payload);
   }
+  if (event.type == 'R') return event;
+  std::string change_text;
+  if (!(in >> change_text)) {
+    return Status::InvalidArgument("missing change in wal event: " + payload);
+  }
+  if (!ParseDoubleExact(change_text, &event.change)) {
+    return Status::InvalidArgument("bad change in wal event: " + payload);
+  }
+  if (event.type == 'L') {
+    std::string hints;
+    std::getline(in, hints);
+    if (!hints.empty() && hints.front() == ' ') hints.erase(0, 1);
+    Result<RuleConfig> config = ParseHintString(hints);
+    if (!config.ok()) return config.status();
+    event.config = config.value();
+  }
+  return event;
+}
+
+DurableRecommenderStore::Applied DurableRecommenderStore::ApplyEvent(const Event& event) {
   Applied applied;
-  const SteeringRecommender::SnapshotEntry before = recommender_.SnapshotRecommendation(signature);
-  if (type == "R") {
-    applied.recommendation = recommender_.Recommend(signature);
+  const SteeringRecommender::SnapshotEntry before =
+      recommender_.SnapshotRecommendation(event.signature);
+  if (event.type == 'R') {
+    applied.recommendation = recommender_.Recommend(event.signature);
+  } else if (event.type == 'V') {
+    recommender_.ObserveValidation(event.signature, event.change);
+  } else if (event.type == 'O') {
+    recommender_.ObserveOutcome(event.signature, event.change);
   } else {
-    std::string change_text;
-    if (!(in >> change_text)) {
-      return Status::InvalidArgument("missing change in wal event: " + payload);
-    }
-    double change = 0.0;
-    if (!ParseDoubleExact(change_text, &change)) {
-      return Status::InvalidArgument("bad change in wal event: " + payload);
-    }
-    if (type == "V") {
-      recommender_.ObserveValidation(signature, change);
-    } else if (type == "O") {
-      recommender_.ObserveOutcome(signature, change);
-    } else if (type == "L") {
-      std::string hints;
-      std::getline(in, hints);
-      if (!hints.empty() && hints.front() == ' ') hints.erase(0, 1);
-      Result<RuleConfig> config = ParseHintString(hints);
-      if (!config.ok()) return config.status();
-      SteeringRecommender::CandidateObservation observation;
-      observation.signature = signature;
-      observation.config = config.value();
-      observation.improvement_pct = change;
-      applied.changed = recommender_.LearnCandidate(observation);
-    } else {
-      return Status::InvalidArgument("unknown wal event type: " + payload);
-    }
+    applied.changed =
+        recommender_.LearnCandidate({event.signature, event.config, event.change});
   }
   // Every event touches only its own group, so comparing that group's
   // serving row tells whether the published view went stale.
-  applied.view_stale = !(recommender_.SnapshotRecommendation(signature) == before);
+  applied.view_stale = !(recommender_.SnapshotRecommendation(event.signature) == before);
   return applied;
 }
 
@@ -234,14 +241,17 @@ Status DurableRecommenderStore::JournalAndMark(const std::string& payload) {
 
 Result<DurableRecommenderStore::Applied> DurableRecommenderStore::JournalAndApply(
     const std::string& payload) {
+  // Decode before journaling: a record in the WAL must be one replay can
+  // apply, or every later Open() fails on it.
+  Result<Event> event = DecodeEvent(payload);
+  if (!event.ok()) return event.status();
   Status status = JournalAndMark(payload);
   if (!status.ok()) return status;
-  Result<Applied> applied = ApplyPayload(payload);
-  if (!applied.ok()) return applied;
+  Applied applied = ApplyEvent(event.value());
   // Most events (an outcome on a closed breaker, a validation run short of
   // adoption) leave what the group serves unchanged; rebuilding the whole
   // view for them would hold mu_ for a copy of every row.
-  if (applied.value().view_stale) PublishViewLocked();
+  if (applied.view_stale) PublishViewLocked();
   // qsteer-lint: allow(unchecked-status) snapshot is opportunistic; the WAL stays authoritative
   (void)MaybeSnapshotLocked();
   return applied;
@@ -273,15 +283,15 @@ Status DurableRecommenderStore::Snapshot() {
 
 bool DurableRecommenderStore::LearnFromAnalysis(const JobAnalysis& analysis) {
   std::optional<SteeringRecommender::CandidateObservation> observation =
-      SteeringRecommender::ExtractCandidate(analysis, options_.recommender);
+      SteeringRecommender::ExtractCandidate(analysis);
   if (!observation.has_value()) return false;
   return LearnCandidate(*observation);
 }
 
 // Live mutations journal their event and then apply it through the same
-// ApplyPayload that WAL replay and ApplyReplicated run, so the live store,
-// a recovered store and a follower agree by construction. A failed journal
-// append leaves the store untouched (fail-stop).
+// DecodeEvent + ApplyEvent that WAL replay and ApplyReplicated run, so the
+// live store, a recovered store and a follower agree by construction. A
+// failed journal append leaves the store untouched (fail-stop).
 bool DurableRecommenderStore::LearnCandidate(
     const SteeringRecommender::CandidateObservation& observation) {
   MutexLock lock(mu_);

@@ -22,7 +22,7 @@
 // Because every journaled event is deterministic (LearnCandidate /
 // ObserveValidation / ObserveOutcome / the cooldown tick of a Recommend on
 // an open breaker) and live mutations, WAL replay and follower apply all run
-// the same ApplyPayload, replaying the log reproduces the pre-crash store
+// the same DecodeEvent + ApplyEvent, replaying the log reproduces the pre-crash store
 // bit-for-bit — the property the chaos harness asserts.
 #ifndef QSTEER_SERVICE_DURABLE_STORE_H_
 #define QSTEER_SERVICE_DURABLE_STORE_H_
@@ -218,13 +218,25 @@ class DurableRecommenderStore {
     SteeringRecommender::Recommendation recommendation;
   };
 
+  /// One decoded journal event: its type ('L', 'V', 'O' or 'R'), group, the
+  /// improvement (L) or runtime change (V, O) percentage, and L's config.
+  struct Event {
+    char type = 0;
+    RuleSignature signature;
+    double change = 0.0;
+    RuleConfig config;
+  };
+
   Status JournalAndMark(const std::string& payload) REQUIRES(mu_);  // assigns seq, appends
-  /// The one apply path: live mutations and ApplyReplicated (through
-  /// JournalAndApply) and WAL replay all decode and apply events here.
-  Result<Applied> ApplyPayload(const std::string& payload) REQUIRES(mu_);
-  /// JournalAndMark + ApplyPayload, then republishes the serving view when
-  /// the event changed its group's row, and takes the interval snapshot. A
-  /// failed append applies nothing.
+  /// The one decode and apply path: live mutations and ApplyReplicated
+  /// (through JournalAndApply) and WAL replay all run these two steps. Every
+  /// payload DecodeEvent accepts, ApplyEvent applies.
+  static Result<Event> DecodeEvent(const std::string& payload);
+  Applied ApplyEvent(const Event& event) REQUIRES(mu_);
+  /// DecodeEvent + JournalAndMark + ApplyEvent, then republishes the serving
+  /// view when the event changed its group's row, and takes the interval
+  /// snapshot. An undecodable payload is neither journaled nor applied, and
+  /// a failed append applies nothing.
   Result<Applied> JournalAndApply(const std::string& payload) REQUIRES(mu_);
   Status SnapshotLocked() REQUIRES(mu_);
   Status MaybeSnapshotLocked() REQUIRES(mu_);  // interval-triggered, best-effort

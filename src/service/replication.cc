@@ -1,7 +1,7 @@
 #include "service/replication.h"
 
 #include <algorithm>
-#include <cstdlib>
+#include <charconv>
 #include <filesystem>
 #include <sstream>
 
@@ -10,6 +10,9 @@
 namespace qsteer {
 
 namespace {
+
+// Admission budget: concurrent serves per replica before re-routing.
+constexpr int kMaxInflightPerReplica = 64;
 
 std::string TailFrame(uint64_t epoch,
                       const std::vector<std::pair<uint64_t, std::string>>& entries) {
@@ -93,8 +96,8 @@ uint64_t ReplicaNode::watermark() const {
   return store == nullptr ? 0 : store->applied_seq();
 }
 
-bool ReplicaNode::TryAdmit(int max_inflight) {
-  if (inflight_.fetch_add(1, std::memory_order_acq_rel) >= max_inflight) {
+bool ReplicaNode::TryAdmit() {
+  if (inflight_.fetch_add(1, std::memory_order_acq_rel) >= kMaxInflightPerReplica) {
     inflight_.fetch_sub(1, std::memory_order_acq_rel);
     return false;
   }
@@ -142,11 +145,15 @@ Status ReplicaNode::Deliver(std::string_view payload) {
     uint64_t applied = 0;
     while (std::getline(lines, line)) {
       if (line.empty()) continue;
+      // `<seq> <payload>`, the seq exactly the digits before the space: a
+      // lenient parse would read garbage as seq 0, an entry already applied.
       size_t space = line.find(' ');
-      if (space == std::string::npos) {
+      uint64_t seq = 0;
+      const char* seq_end = line.data() + std::min(space, line.size());
+      auto [parsed_end, ec] = std::from_chars(line.data(), seq_end, seq);
+      if (space == std::string::npos || ec != std::errc() || parsed_end != seq_end) {
         return Status::InvalidArgument("malformed TAIL entry: " + line);
       }
-      uint64_t seq = std::strtoull(line.c_str(), nullptr, 10);
       Status status = store->ApplyReplicated(seq, line.substr(space + 1));
       if (!status.ok()) return status;  // gap → leader falls back to install
       ++applied;
@@ -410,7 +417,7 @@ Status ReplicationFleet::ServeOnce(const RuleSignature& signature, ServeResult* 
       out->rerouted = true;
       continue;
     }
-    if (!node->TryAdmit(options_.max_inflight_per_replica)) {
+    if (!node->TryAdmit()) {
       out->rerouted = true;
       continue;
     }

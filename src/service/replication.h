@@ -134,9 +134,9 @@ class ReplicaNode : public TransportEndpoint {
   bool tainted() const { return tainted_.load(std::memory_order_acquire); }
   void set_tainted(bool tainted) { tainted_.store(tainted, std::memory_order_release); }
 
-  /// Admission control: TryAdmit claims an in-flight slot (false = over
-  /// budget, caller re-routes); Release returns it.
-  bool TryAdmit(int max_inflight);
+  /// Admission control: TryAdmit claims an in-flight slot of the replica's
+  /// fixed budget (false = over budget, caller re-routes); Release returns it.
+  bool TryAdmit();
   void Release() { inflight_.fetch_sub(1, std::memory_order_acq_rel); }
   int inflight() const { return inflight_.load(std::memory_order_acquire); }
 
@@ -168,8 +168,6 @@ struct FleetOptions {
   /// A follower more than this many events behind the leader sheds
   /// serving requests to the leader until it catches up.
   uint64_t staleness_bound = 128;
-  /// Admission budget: concurrent serves per replica before re-routing.
-  int max_inflight_per_replica = 64;
   /// Entries buffered in each replica's in-memory ReplicationLog.
   size_t replication_log_cap = 4096;
   int ring_vnodes = 64;

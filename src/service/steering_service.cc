@@ -209,13 +209,15 @@ void SteeringService::ProcessRequest(QueueItem item) {
 
 void SteeringService::FinishRequest(std::promise<ServiceReply> promise, ServiceReply reply,
                                     double elapsed_s, bool failed) {
+  // Smoothing factor of the service-time EWMA that admission control reads.
+  constexpr double kServiceTimeEwmaAlpha = 0.2;
   {
     MutexLock lock(mu_);
     if (service_time_ewma_s_ <= 0.0) {
       service_time_ewma_s_ = elapsed_s;
     } else {
-      service_time_ewma_s_ = options_.ewma_alpha * elapsed_s +
-                             (1.0 - options_.ewma_alpha) * service_time_ewma_s_;
+      service_time_ewma_s_ = kServiceTimeEwmaAlpha * elapsed_s +
+                             (1.0 - kServiceTimeEwmaAlpha) * service_time_ewma_s_;
     }
     ++finished_;
     if (failed) {

@@ -63,8 +63,6 @@ struct ServiceOptions {
   /// Seed of the service-time EWMA used by admission control, seconds.
   /// 0 starts the estimate at the first observed service time.
   double initial_service_time_ewma_s = 0.0;
-  /// EWMA smoothing factor for observed service times.
-  double ewma_alpha = 0.2;
   /// Enables the background re-analysis worker.
   bool enable_reanalysis = true;
   /// Pre-warm the compile cache from this SaveCompileCache artifact at

@@ -311,6 +311,20 @@ TEST(FleetTest, CorruptedFrameIsDetectedAndConvergesAnyway) {
   EXPECT_TRUE(fleet.CheckConvergence().ok());
 }
 
+TEST(FleetTest, TailEntryWithMalformedSeqIsRejected) {
+  // A TAIL entry's seq must be exactly the digits before the space; a
+  // lenient parse would read "x1" as seq 0 and skip the entry as applied.
+  ReplicaNode node(0, DurableStoreOptions{});
+  ASSERT_TRUE(node.Open().ok());
+  const std::string payload = "R " + Sig(1).ToHexString();
+  for (const std::string& seq : {std::string("x1"), std::string("1x"), std::string("+1"),
+                                 std::string("-1"), std::string("")}) {
+    Status status = node.Deliver("TAIL 1 1\n" + seq + " " + payload + "\n");
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << "seq '" << seq << "'";
+    EXPECT_EQ(node.watermark(), 0u) << "seq '" << seq << "'";
+  }
+}
+
 TEST(FleetTest, EphemeralFleetRestartInstallsSnapshot) {
   // Without a durable dir a restarted replica recovers nothing from disk:
   // catch-up must fall back to a snapshot install (watermark 0 is outside

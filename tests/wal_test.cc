@@ -378,6 +378,27 @@ TEST(WalTest, LogKeepsWorkingAfterShortWriteAndReopen) {
   EXPECT_EQ(info.truncated_bytes, 0);
 }
 
+TEST(WalTest, AppendAfterShortWriteDropsTheTornFrameFirst) {
+  TempDir dir;
+  std::string path = dir.Path("wal.log");
+  {
+    WriteAheadLog wal;
+    ASSERT_TRUE(wal.Open(path, false).ok());
+    ASSERT_TRUE(wal.Append(1, "one").ok());
+    wal.SetShortWriteForTesting(5);
+    ASSERT_FALSE(wal.Append(2, "two").ok());
+    // Retried on the same object, without a reopen: the record must not
+    // land behind the torn bytes, where recovery would truncate it.
+    ASSERT_TRUE(wal.Append(2, "two").ok());
+  }
+  WriteAheadLog::RecoveryInfo info;
+  auto records = Replay(path, &info);
+  ASSERT_EQ(records.size(), 2u);
+  EXPECT_EQ(records[0], (std::pair<uint64_t, std::string>{1, "one"}));
+  EXPECT_EQ(records[1], (std::pair<uint64_t, std::string>{2, "two"}));
+  EXPECT_EQ(info.truncated_bytes, 0);
+}
+
 TEST(WalTest, ShortWriteFaultIsOneShot) {
   TempDir dir;
   std::string path = dir.Path("wal.log");
@@ -735,6 +756,23 @@ TEST(DurableStoreRecoveryTest, NonContiguousWalFailsOpen) {
   ASSERT_TRUE(recovered.Open().ok());
   EXPECT_EQ(recovered.applied_seq(), 3u);
   EXPECT_EQ(recovered.num_groups(), 3);
+}
+
+TEST(DurableStoreRecoveryTest, UndecodableReplicatedPayloadIsNeverJournaled) {
+  // A shipped payload the apply step cannot decode is refused before it
+  // reaches the WAL: the watermark stays put and the store reopens.
+  TempDir dir;
+  DurableStoreOptions options = InstallStoreOptions(dir.Path("store"));
+  std::filesystem::create_directories(options.dir);
+  {
+    DurableRecommenderStore store(options);
+    ASSERT_TRUE(store.Open().ok());
+    EXPECT_FALSE(store.ApplyReplicated(1, "X 00").ok());
+    EXPECT_EQ(store.applied_seq(), 0u);
+  }
+  DurableRecommenderStore reopened(options);
+  ASSERT_TRUE(reopened.Open().ok());
+  EXPECT_EQ(reopened.applied_seq(), 0u);
 }
 
 // ------------------------------------------------------------ serving view
